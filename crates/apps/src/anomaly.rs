@@ -51,7 +51,7 @@ pub fn anomaly_scores(
 
 /// Scores anomalies from two precomputed signature sets over the same
 /// subject population — the shape the streaming pipeline provides
-/// ([`stream::StreamingAnomaly`](crate::stream::StreamingAnomaly)), where
+/// ([`stream::TieredAnomaly`](crate::stream::TieredAnomaly)), where
 /// consecutive windows' signatures are already maintained incrementally.
 /// The ordering rule (descending score, ties by ascending id) matches
 /// [`anomaly_scores`].

@@ -152,7 +152,7 @@ pub fn detect_label_masquerading(
 
 /// The signature-level core of Algorithm 1, shared by the batch detector
 /// above and the streaming detector
-/// ([`stream::StreamingMasquerade`](crate::stream::StreamingMasquerade)):
+/// ([`stream::TieredMasquerade`](crate::stream::TieredMasquerade)):
 /// takes the window-`t` signatures and an inverted index over the
 /// window-`t+1` signatures of the same subjects. Given bit-identical
 /// signature sets, both callers produce identical [`Detection`]s.

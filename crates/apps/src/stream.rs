@@ -1,46 +1,41 @@
-//! Online window-over-window detectors, generic over the signature
-//! tier.
+//! Online window-over-window detectors over the signature tier seam.
 //!
 //! The batch detectors ([`masquerade`](crate::masquerade),
 //! [`anomaly`](crate::anomaly)) recompute every signature and rebuild
-//! the matching index for each pair of windows. The streaming variants
-//! here instead drive a [`SignatureTier`] — the exact
+//! the matching index for each pair of windows. [`TieredMasquerade`] and
+//! [`TieredAnomaly`] instead drive a boxed [`SignatureTier`] — the exact
 //! `SignaturePipeline` or the bounded-memory
 //! [`SketchTier`](comsig_sketch::tier::SketchTier) — and patch only the
-//! dirty subjects per [`WindowDelta`] into a maintained
+//! dirty subjects per [`WindowDelta`] into a maintained boxed
 //! [`SubjectMatcher`].
 //!
-//! [`TieredMasquerade`] / [`TieredAnomaly`] are the generic drivers;
-//! [`StreamingMasquerade`] / [`StreamingAnomaly`] are the exact-tier
-//! specialisations (pipeline + postings index), whose signatures, index
-//! and detector outputs are **bit-identical** to running the batch
-//! detector on cold rebuilds of the same windows (asserted by the tests
-//! below and, per advance, by the `check_pipeline_equiv` contract).
-//! [`SketchMasquerade`] / [`SketchAnomaly`] pair the sketch tier with an
-//! LSH-fronted [`AnnIndex`], trading documented one-sided error bands
-//! for bounded state.
+//! Over the exact pipeline and a `PostingsIndex`, signatures, index and
+//! detector outputs are **bit-identical** to running the batch detector
+//! on cold rebuilds of the same windows (asserted by the tests below
+//! and, per advance, by the `check_pipeline_equiv` contract). Over the
+//! sketch tier and an LSH-fronted `AnnIndex`, they trade documented
+//! one-sided error bands for bounded state. The detectors never ask
+//! which pair they hold: the caller picks it once, at construction.
 
 use comsig_core::distance::{BatchDistance, SignatureDistance};
-use comsig_core::pipeline::{AdvanceReport, DeltaScheme, SignaturePipeline};
-use comsig_core::{SignatureSet, SignatureTier, TierMemory};
-use comsig_eval::ann::{AnnConfig, AnnIndex, SubjectMatcher};
-use comsig_eval::index::PostingsIndex;
-use comsig_graph::{CommGraph, NodeId, ShardPlan, WindowDelta};
-use comsig_sketch::stream::StreamConfig;
-use comsig_sketch::tier::{SketchScheme, SketchTier};
+use comsig_core::pipeline::AdvanceReport;
+use comsig_core::{Signature, SignatureSet, SignatureTier, TierMemory};
+use comsig_eval::ann::SubjectMatcher;
+use comsig_eval::index::MatchWorkspace;
+use comsig_eval::ranking::Ranking;
+use comsig_graph::{ShardPlan, WindowDelta};
 
 use crate::anomaly::{anomaly_scores_from_sets, AnomalyScore};
 use crate::masquerade::{run_algorithm1_with, Detection, DetectorConfig};
 
-/// The generic streaming label-masquerading detector (Algorithm 1,
-/// online): any [`SignatureTier`] maintaining the window's signatures,
-/// any [`SubjectMatcher`] ranking them. Each [`advance`](Self::advance)
+/// The streaming label-masquerading detector (Algorithm 1, online): a
+/// [`SignatureTier`] maintaining the window's signatures and a
+/// [`SubjectMatcher`] ranking them. Each [`advance`](Self::advance)
 /// compares the previous window's signatures against the new window's,
 /// exactly as the batch detector would with `(G_t, G_{t+1})`.
-#[derive(Debug)]
-pub struct TieredMasquerade<T: SignatureTier, M: SubjectMatcher> {
-    tier: T,
-    matcher: M,
+pub struct TieredMasquerade<'a> {
+    tier: Box<dyn SignatureTier + 'a>,
+    matcher: Box<dyn SubjectMatcher>,
     cfg: DetectorConfig,
     plan: ShardPlan,
     /// The previous window's signatures, double-buffered: after each
@@ -49,25 +44,45 @@ pub struct TieredMasquerade<T: SignatureTier, M: SubjectMatcher> {
     prev: SignatureSet,
 }
 
-impl<T: SignatureTier, M: SubjectMatcher> TieredMasquerade<T, M> {
-    /// Assembles a detector from an already-seeded tier, a matcher over
-    /// the tier's current signatures, and the previous window's
-    /// signatures. The caller guarantees the matcher's candidates equal
-    /// the tier's signatures; the constructors below do.
-    fn assemble(
-        tier: T,
-        matcher: M,
+impl<'a> TieredMasquerade<'a> {
+    /// Assembles a detector from a seeded (or resumed) tier, a matcher
+    /// over the tier's current signatures, and the previous window's
+    /// signatures — the tier's current ones on a fresh start.
+    ///
+    /// # Errors
+    /// Returns an error when the parts are inconsistent: `prev` covers a
+    /// different subject population than the tier, or the matcher's
+    /// candidates diverge from the tier's signatures. Both are checked
+    /// because resume assembles the parts from untrusted snapshot bytes.
+    pub fn from_parts(
+        tier: Box<dyn SignatureTier + 'a>,
+        matcher: Box<dyn SubjectMatcher>,
         cfg: DetectorConfig,
         plan: ShardPlan,
         prev: SignatureSet,
-    ) -> Self {
-        TieredMasquerade {
+    ) -> Result<Self, String> {
+        let current = tier.signatures();
+        if prev.subjects() != current.subjects() {
+            return Err("detector resume: prev/current subject lists differ".into());
+        }
+        let candidates = matcher.candidate_set();
+        if candidates.subjects() != current.subjects() {
+            return Err("detector resume: index candidates diverge from the signature set".into());
+        }
+        if candidates
+            .iter()
+            .zip(current.iter())
+            .any(|((_, a), (_, b))| a != b)
+        {
+            return Err("detector resume: index candidate signatures diverge from the set".into());
+        }
+        Ok(TieredMasquerade {
             tier,
             matcher,
             cfg,
             plan,
             prev,
-        }
+        })
     }
 
     /// The detector configuration.
@@ -78,8 +93,15 @@ impl<T: SignatureTier, M: SubjectMatcher> TieredMasquerade<T, M> {
 
     /// The signature tier driving the detector.
     #[must_use]
-    pub fn tier(&self) -> &T {
-        &self.tier
+    pub fn tier(&self) -> &dyn SignatureTier {
+        self.tier.as_ref()
+    }
+
+    /// Gives up the matcher and previous-window buffer, keeping only the
+    /// tier — e.g. to drive a [`TieredAnomaly`] over it.
+    #[must_use]
+    pub fn into_tier(self) -> Box<dyn SignatureTier + 'a> {
+        self.tier
     }
 
     /// The current window's signatures.
@@ -96,20 +118,25 @@ impl<T: SignatureTier, M: SubjectMatcher> TieredMasquerade<T, M> {
 
     /// The maintained matcher over the current signatures.
     #[must_use]
-    pub fn matcher(&self) -> &M {
-        &self.matcher
-    }
-
-    /// The shard plan every advance runs under.
-    #[must_use]
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
+    pub fn matcher(&self) -> &dyn SubjectMatcher {
+        self.matcher.as_ref()
     }
 
     /// The tier's resident-state accounting.
     #[must_use]
     pub fn tier_memory(&self) -> TierMemory {
         self.tier.memory()
+    }
+
+    /// Ranks `sig` against the maintained candidates, keeping the best
+    /// `top`: exact through a postings index, or with the LSH front's
+    /// one-sided error (missed candidates at distance 1.0).
+    #[must_use]
+    pub fn rank_top_l(&self, dist: &dyn BatchDistance, sig: &Signature, top: usize) -> Ranking {
+        let mut entries = Vec::with_capacity(top.min(self.matcher.candidate_set().len()));
+        self.matcher
+            .rank_top_l_into(dist, sig, top, &mut MatchWorkspace::new(), &mut entries);
+        Ranking::from_sorted(entries)
     }
 
     /// Consumes the next window's delta and runs Algorithm 1 between the
@@ -154,7 +181,13 @@ impl<T: SignatureTier, M: SubjectMatcher> TieredMasquerade<T, M> {
                 .collect(),
             &self.plan,
         );
-        let detection = run_algorithm1_with(dist, &self.prev, &self.matcher, &self.cfg, &self.plan);
+        let detection = run_algorithm1_with(
+            dist,
+            &self.prev,
+            self.matcher.as_ref(),
+            &self.cfg,
+            &self.plan,
+        );
         let scores = with_anomaly.then(|| anomaly_scores_from_sets(dist, &self.prev, new_sigs));
         // Roll the double buffer forward: only the dirty subjects differ
         // between the windows.
@@ -167,239 +200,39 @@ impl<T: SignatureTier, M: SubjectMatcher> TieredMasquerade<T, M> {
     }
 }
 
-/// Streaming label-masquerading detector on the **exact tier**: a
-/// [`SignaturePipeline`] maintaining the signatures and an owned
-/// [`PostingsIndex`] over them, patched per advance via
-/// [`PostingsIndex::update`].
-#[derive(Debug)]
-pub struct StreamingMasquerade<'a, S: DeltaScheme + ?Sized> {
-    inner: TieredMasquerade<SignaturePipeline<'a, S>, PostingsIndex<'static>>,
-}
-
-impl<'a, S: DeltaScheme + ?Sized> StreamingMasquerade<'a, S> {
-    /// Seeds the detector on an initial window graph (often
-    /// [`CommGraph::empty`]) and the fixed subject population, advancing
-    /// with a machine-sized [`ShardPlan`].
-    #[must_use]
-    pub fn new(scheme: &'a S, graph: CommGraph, subjects: &[NodeId], cfg: DetectorConfig) -> Self {
-        Self::with_plan(scheme, graph, subjects, cfg, ShardPlan::auto())
-    }
-
-    /// [`new`](Self::new) with an explicit shard plan, applied to the
-    /// pipeline advance, the index patching and the detector sweep.
-    /// Every plan produces bit-identical detections.
-    #[must_use]
-    pub fn with_plan(
-        scheme: &'a S,
-        graph: CommGraph,
-        subjects: &[NodeId],
-        cfg: DetectorConfig,
-        plan: ShardPlan,
-    ) -> Self {
-        let pipeline = SignaturePipeline::with_plan(scheme, graph, subjects, cfg.k, plan);
-        let index = PostingsIndex::build_owned(pipeline.signatures().clone());
-        let prev = pipeline.signatures().clone();
-        StreamingMasquerade {
-            inner: TieredMasquerade::assemble(pipeline, index, cfg, plan, prev),
-        }
-    }
-
-    /// Reassembles a detector from persisted parts without any cold
-    /// recompute: graph, current/previous signature sets and the patched
-    /// index restore exactly as captured — the `comsig serve` recovery
-    /// path, which verifies the result against a state digest recorded
-    /// at capture time.
-    ///
-    /// # Errors
-    /// Returns an error when the parts are structurally inconsistent
-    /// (subject out of range, index candidates diverging from the
-    /// pipeline's signatures, prev/current subject mismatch).
-    pub fn resume(
-        scheme: &'a S,
-        graph: CommGraph,
-        current: SignatureSet,
-        prev: SignatureSet,
-        index: PostingsIndex<'static>,
-        cfg: DetectorConfig,
-        plan: ShardPlan,
-    ) -> Result<Self, String> {
-        if prev.subjects() != current.subjects() {
-            return Err("detector resume: prev/current subject lists differ".into());
-        }
-        if index.candidates().subjects() != current.subjects() {
-            return Err("detector resume: index candidates diverge from the signature set".into());
-        }
-        for ((_, a), (_, b)) in index.candidates().iter().zip(current.iter()) {
-            if a != b {
-                return Err(
-                    "detector resume: index candidate signatures diverge from the set".into(),
-                );
-            }
-        }
-        let pipeline = SignaturePipeline::resume(scheme, graph, current, cfg.k, plan)?;
-        Ok(StreamingMasquerade {
-            inner: TieredMasquerade::assemble(pipeline, index, cfg, plan, prev),
-        })
-    }
-
-    /// The detector configuration.
-    #[must_use]
-    pub fn config(&self) -> &DetectorConfig {
-        self.inner.config()
-    }
-
-    /// The current window's graph.
-    #[must_use]
-    pub fn graph(&self) -> &CommGraph {
-        self.inner.tier().graph()
-    }
-
-    /// The current window's signatures.
-    #[must_use]
-    pub fn signatures(&self) -> &SignatureSet {
-        self.inner.signatures()
-    }
-
-    /// The previous window's signatures (the double buffer's back side).
-    #[must_use]
-    pub fn prev_signatures(&self) -> &SignatureSet {
-        self.inner.prev_signatures()
-    }
-
-    /// The maintained postings index over the current signatures.
-    #[must_use]
-    pub fn index(&self) -> &PostingsIndex<'static> {
-        self.inner.matcher()
-    }
-
-    /// The shard plan every advance runs under.
-    #[must_use]
-    pub fn plan(&self) -> &ShardPlan {
-        self.inner.plan()
-    }
-
-    /// The tier's resident-state accounting (CSR edges + offsets).
-    #[must_use]
-    pub fn tier_memory(&self) -> TierMemory {
-        self.inner.tier_memory()
-    }
-
-    /// Consumes the next window's delta and runs Algorithm 1 between the
-    /// previous and the new window. Returns the detection plus the
-    /// pipeline's advance report.
-    pub fn advance(&mut self, dist: &dyn BatchDistance, delta: &WindowDelta) -> StreamDetection {
-        self.inner.advance(dist, delta)
-    }
-
-    /// [`advance`](Self::advance) that additionally computes the
-    /// per-subject anomaly scores for the same window pair **before**
-    /// rolling the double buffer, so one maintained detector serves both
-    /// verdicts (the `comsig serve` query plane). Scores are
-    /// bit-identical to [`StreamingAnomaly::advance`] over the same
-    /// stream.
-    pub fn advance_with_anomaly(
-        &mut self,
-        dist: &dyn BatchDistance,
-        delta: &WindowDelta,
-    ) -> (StreamDetection, Vec<AnomalyScore>) {
-        self.inner.advance_with_anomaly(dist, delta)
-    }
-}
-
-/// Streaming masquerade detection on the **sketch tier**: a
-/// [`SketchTier`] maintaining approximate signatures in bounded memory
-/// and an LSH-fronted [`AnnIndex`] ranking them.
-pub type SketchMasquerade = TieredMasquerade<SketchTier, AnnIndex>;
-
-impl SketchMasquerade {
-    /// Seeds a sketch-tier detector over a declared node space. The
-    /// signature length comes from `cfg.k`; the sketch sizing from
-    /// `stream_cfg`; the LSH banding from `ann`.
-    ///
-    /// # Panics
-    /// Panics if `subjects` contains duplicates or ids `≥ num_nodes`,
-    /// or if `cfg.k` is zero.
-    #[must_use]
-    pub fn new_sketch(
-        scheme: SketchScheme,
-        stream_cfg: StreamConfig,
-        subjects: &[NodeId],
-        num_nodes: usize,
-        cfg: DetectorConfig,
-        ann: AnnConfig,
-        plan: ShardPlan,
-    ) -> Self {
-        let tier = SketchTier::new(scheme, stream_cfg, subjects, cfg.k, num_nodes);
-        let prev = tier.signatures().clone();
-        let matcher = AnnIndex::build(tier.signatures(), ann);
-        TieredMasquerade::assemble(tier, matcher, cfg, plan, prev)
-    }
-
-    /// Reassembles a sketch-tier detector from a (decoded) tier and the
-    /// previous window's signatures — the `comsig serve` recovery path.
-    /// `prev` defaults to the tier's current signatures when absent
-    /// (fresh start or snapshot taken at a window boundary). The ANN
-    /// index is rebuilt deterministically from the tier's signatures and
-    /// `ann` — LSH state is derived, never persisted.
-    ///
-    /// # Errors
-    /// Returns an error when `prev` covers a different subject
-    /// population than the tier.
-    pub fn resume_sketch(
-        tier: SketchTier,
-        prev: Option<SignatureSet>,
-        cfg: DetectorConfig,
-        ann: AnnConfig,
-        plan: ShardPlan,
-    ) -> Result<Self, String> {
-        let prev = match prev {
-            Some(p) => {
-                if p.subjects() != tier.signatures().subjects() {
-                    return Err("sketch detector resume: prev/current subject lists differ".into());
-                }
-                p
-            }
-            None => tier.signatures().clone(),
-        };
-        let matcher = AnnIndex::build(tier.signatures(), ann);
-        Ok(TieredMasquerade::assemble(tier, matcher, cfg, plan, prev))
-    }
-}
-
 /// One streaming masquerade step: the Algorithm-1 output for the window
-/// pair plus what the pipeline did to produce it.
+/// pair plus what the tier did to produce it.
 #[derive(Debug, Clone)]
 pub struct StreamDetection {
     /// Algorithm 1's verdict for (previous window, new window).
     pub detection: Detection,
-    /// The pipeline advance that produced the new window.
+    /// The tier advance that produced the new window.
     pub report: AdvanceReport,
 }
 
-/// The generic streaming anomaly detector: scores every subject's
-/// signature change across consecutive windows, with signatures
-/// maintained incrementally by any [`SignatureTier`].
-#[derive(Debug)]
-pub struct TieredAnomaly<T: SignatureTier> {
-    tier: T,
+/// The streaming anomaly detector: scores every subject's signature
+/// change across consecutive windows, with signatures maintained
+/// incrementally by any [`SignatureTier`].
+pub struct TieredAnomaly<'a> {
+    tier: Box<dyn SignatureTier + 'a>,
     /// Previous window's signatures, patched per advance from the dirty
     /// list (same double-buffer discipline as [`TieredMasquerade`]).
     prev: SignatureSet,
 }
 
-impl<T: SignatureTier> TieredAnomaly<T> {
+impl<'a> TieredAnomaly<'a> {
     /// Wraps an already-seeded tier; the previous-window buffer starts
     /// at the tier's current signatures.
     #[must_use]
-    pub fn from_tier(tier: T) -> Self {
+    pub fn from_tier(tier: Box<dyn SignatureTier + 'a>) -> Self {
         let prev = tier.signatures().clone();
         TieredAnomaly { tier, prev }
     }
 
     /// The signature tier driving the detector.
     #[must_use]
-    pub fn tier(&self) -> &T {
-        &self.tier
+    pub fn tier(&self) -> &dyn SignatureTier {
+        self.tier.as_ref()
     }
 
     /// The current window's signatures.
@@ -436,67 +269,18 @@ impl<T: SignatureTier> TieredAnomaly<T> {
     }
 }
 
-/// Streaming anomaly detection on the **sketch tier**.
-pub type SketchAnomaly = TieredAnomaly<SketchTier>;
-
-/// Streaming anomaly detector on the **exact tier**: scores every
-/// subject's signature change across consecutive windows, with
-/// signatures maintained incrementally by a [`SignaturePipeline`].
-#[derive(Debug)]
-pub struct StreamingAnomaly<'a, S: DeltaScheme + ?Sized> {
-    inner: TieredAnomaly<SignaturePipeline<'a, S>>,
-}
-
-impl<'a, S: DeltaScheme + ?Sized> StreamingAnomaly<'a, S> {
-    /// Seeds the detector on an initial window graph and the fixed
-    /// subject population, with signature length `k`, advancing with a
-    /// machine-sized [`ShardPlan`].
-    #[must_use]
-    pub fn new(scheme: &'a S, graph: CommGraph, subjects: &[NodeId], k: usize) -> Self {
-        Self::with_plan(scheme, graph, subjects, k, ShardPlan::auto())
-    }
-
-    /// [`new`](Self::new) with an explicit shard plan; every plan
-    /// produces bit-identical scores.
-    #[must_use]
-    pub fn with_plan(
-        scheme: &'a S,
-        graph: CommGraph,
-        subjects: &[NodeId],
-        k: usize,
-        plan: ShardPlan,
-    ) -> Self {
-        let pipeline = SignaturePipeline::with_plan(scheme, graph, subjects, k, plan);
-        StreamingAnomaly {
-            inner: TieredAnomaly::from_tier(pipeline),
-        }
-    }
-
-    /// The current window's signatures.
-    #[must_use]
-    pub fn signatures(&self) -> &SignatureSet {
-        self.inner.signatures()
-    }
-
-    /// Consumes the next window's delta and returns the per-subject
-    /// anomaly scores between the previous and the new window (sorted
-    /// most-anomalous first), plus the pipeline's advance report.
-    pub fn advance(
-        &mut self,
-        dist: &dyn SignatureDistance,
-        delta: &WindowDelta,
-    ) -> (Vec<AnomalyScore>, AdvanceReport) {
-        self.inner.advance(dist, delta)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use comsig_core::distance::SHel;
+    use comsig_core::persist::{self, Dec, Enc, Fnv};
+    use comsig_core::pipeline::{DeltaScheme, SignaturePipeline};
     use comsig_core::scheme::{Rwr, SignatureScheme, TopTalkers};
-    use comsig_eval::index::PostingsIndex;
-    use comsig_graph::{EdgeEvent, GraphBuilder, SlidingWindower};
+    use comsig_eval::ann::{AnnConfig, AnnIndex};
+    use comsig_eval::index::{IndexLayout, PostingsIndex};
+    use comsig_graph::{CommGraph, EdgeEvent, GraphBuilder, NodeId, SlidingWindower};
+    use comsig_sketch::stream::StreamConfig;
+    use comsig_sketch::tier::{SketchScheme, SketchTier};
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
@@ -538,6 +322,40 @@ mod tests {
         events
     }
 
+    /// The exact pair: a pipeline seeded on an empty window plus a
+    /// postings index over its signatures.
+    fn exact<'s>(
+        scheme: &'s dyn DeltaScheme,
+        subjects: &[NodeId],
+        cfg: DetectorConfig,
+        plan: ShardPlan,
+    ) -> TieredMasquerade<'s> {
+        let pipeline = SignaturePipeline::with_plan(
+            scheme,
+            CommGraph::empty(NUM_NODES),
+            subjects,
+            cfg.k,
+            plan,
+        );
+        let index = PostingsIndex::build_owned(pipeline.signatures().clone());
+        let prev = pipeline.signatures().clone();
+        TieredMasquerade::from_parts(Box::new(pipeline), Box::new(index), cfg, plan, prev)
+            .expect("fresh parts are consistent")
+    }
+
+    fn exact_anomaly<'s>(scheme: &'s dyn DeltaScheme, subjects: &[NodeId]) -> TieredAnomaly<'s> {
+        let pipeline = SignaturePipeline::new(scheme, CommGraph::empty(NUM_NODES), subjects, 4);
+        TieredAnomaly::from_tier(Box::new(pipeline))
+    }
+
+    /// The matcher's contribution to the state digest: the postings
+    /// layout digest on the exact tier.
+    fn matcher_digest(det: &TieredMasquerade<'_>) -> u64 {
+        let mut h = Fnv::new();
+        det.matcher().digest_state(&mut h);
+        h.finish()
+    }
+
     fn cold_window(events: &[EdgeEvent], s: u64, e: u64) -> CommGraph {
         let mut b = GraphBuilder::new();
         for event in events {
@@ -564,8 +382,7 @@ mod tests {
         for &e in &events {
             w.push(e);
         }
-        let mut det =
-            StreamingMasquerade::new(&scheme, CommGraph::empty(NUM_NODES), &subjects, cfg);
+        let mut det = exact(&scheme, &subjects, cfg, ShardPlan::auto());
         let mut prev_graph = CommGraph::empty(NUM_NODES);
         for _ in 0..4 {
             let delta = w.advance();
@@ -600,8 +417,7 @@ mod tests {
         for &e in &events {
             w.push(e);
         }
-        let mut det =
-            StreamingMasquerade::new(&scheme, CommGraph::empty(NUM_NODES), &subjects, cfg);
+        let mut det = exact(&scheme, &subjects, cfg, ShardPlan::auto());
         let mut swap_detected = false;
         for _ in 0..3 {
             let delta = w.advance();
@@ -630,14 +446,13 @@ mod tests {
         for &e in &events {
             w.push(e);
         }
-        let mut det =
-            StreamingMasquerade::new(&scheme, CommGraph::empty(NUM_NODES), &subjects, cfg);
+        let mut det = exact(&scheme, &subjects, cfg, ShardPlan::auto());
         for _ in 0..4 {
             let delta = w.advance();
             let _ = det.advance(&SHel, &delta);
         }
-        let rebuilt = PostingsIndex::build(det.index().candidates());
-        assert_eq!(det.index().posting_mass(), rebuilt.posting_mass());
+        let rebuilt = PostingsIndex::build(det.matcher().candidate_set());
+        assert_eq!(det.matcher().memory_entries(), rebuilt.memory_entries());
     }
 
     /// Every shard plan must produce bit-identical streaming detections
@@ -659,15 +474,9 @@ mod tests {
                 for &e in &events {
                     w.push(e);
                 }
-                let mut det = StreamingMasquerade::with_plan(
-                    &scheme,
-                    CommGraph::empty(NUM_NODES),
-                    &subjects,
-                    cfg,
-                    ShardPlan::new(threads),
-                );
+                let mut det = exact(&scheme, &subjects, cfg, ShardPlan::new(threads));
                 let steps = (0..4).map(|_| det.advance(&SHel, &w.advance())).collect();
-                (steps, det.index().layout_digest())
+                (steps, matcher_digest(&det))
             })
             .collect();
         let (base_steps, base_digest) = &runs[0];
@@ -693,7 +502,7 @@ mod tests {
         for &e in &events {
             w.push(e);
         }
-        let mut det = StreamingAnomaly::new(&scheme, CommGraph::empty(NUM_NODES), &subjects, 4);
+        let mut det = exact_anomaly(&scheme, &subjects);
         let mut prev_graph = CommGraph::empty(NUM_NODES);
         for _ in 0..4 {
             let delta = w.advance();
@@ -714,7 +523,7 @@ mod tests {
     }
 
     /// `advance_with_anomaly` must produce the exact detection of
-    /// `advance` and the exact scores of a parallel `StreamingAnomaly`
+    /// `advance` and the exact scores of a parallel `TieredAnomaly`
     /// over the same stream.
     #[test]
     fn advance_with_anomaly_matches_both_detectors() {
@@ -731,11 +540,9 @@ mod tests {
             w1.push(e);
             w2.push(e);
         }
-        let mut combined =
-            StreamingMasquerade::new(&scheme, CommGraph::empty(NUM_NODES), &subjects, cfg);
-        let mut masq =
-            StreamingMasquerade::new(&scheme, CommGraph::empty(NUM_NODES), &subjects, cfg);
-        let mut anom = StreamingAnomaly::new(&scheme, CommGraph::empty(NUM_NODES), &subjects, 4);
+        let mut combined = exact(&scheme, &subjects, cfg, ShardPlan::auto());
+        let mut masq = exact(&scheme, &subjects, cfg, ShardPlan::auto());
+        let mut anom = exact_anomaly(&scheme, &subjects);
         for _ in 0..4 {
             let delta = w1.advance();
             let delta2 = w2.advance();
@@ -755,8 +562,9 @@ mod tests {
         }
     }
 
-    /// A detector reassembled from its exported parts mid-stream must
-    /// continue bit-identically to the uninterrupted one.
+    /// A detector reassembled from its encoded tier and matcher state
+    /// mid-stream must continue bit-identically to the uninterrupted
+    /// one — the serve snapshot/recovery discipline for the exact tier.
     #[test]
     fn resume_from_parts_continues_bit_identically() {
         let scheme = Rwr::truncated(0.15, 2);
@@ -770,35 +578,32 @@ mod tests {
         for &e in &events {
             w.push(e);
         }
-        let mut det = StreamingMasquerade::with_plan(
-            &scheme,
-            CommGraph::empty(NUM_NODES),
-            &subjects,
-            cfg,
-            ShardPlan::new(2),
-        );
+        let plan = ShardPlan::new(2);
+        let mut det = exact(&scheme, &subjects, cfg, plan);
         let d0 = w.advance();
         let d1 = w.advance();
         let _ = det.advance(&SHel, &d0);
         let _ = det.advance(&SHel, &d1);
         // Capture the parts, as a snapshot would.
-        let graph = det.graph().clone();
-        let current = det.signatures().clone();
+        let mut enc = Enc::new();
+        det.tier().encode_state(&mut enc);
+        det.matcher().encode_state(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut dec = Dec::new(&bytes);
+        let graph = persist::decode_graph(&mut dec).expect("graph decodes");
+        let current = persist::decode_signature_set(&mut dec).expect("signatures decode");
+        let layout = IndexLayout::decode(&mut dec).expect("layout decodes");
+        dec.finish("exact detector state")
+            .expect("no trailing bytes");
+        let index =
+            PostingsIndex::from_layout(current.clone(), layout).expect("exported layout restores");
+        let pipeline =
+            SignaturePipeline::resume(&scheme, graph, current, cfg.k, plan).expect("in range");
         let prev = det.prev_signatures().clone();
-        let layout = det.index().export_layout();
-        let index = PostingsIndex::from_layout(det.index().candidates().clone(), layout)
-            .expect("exported layout restores");
-        let mut resumed = StreamingMasquerade::resume(
-            &scheme,
-            graph,
-            current,
-            prev,
-            index,
-            cfg,
-            ShardPlan::new(2),
-        )
-        .expect("parts are consistent");
-        assert_eq!(resumed.index().layout_digest(), det.index().layout_digest());
+        let mut resumed =
+            TieredMasquerade::from_parts(Box::new(pipeline), Box::new(index), cfg, plan, prev)
+                .expect("parts are consistent");
+        assert_eq!(matcher_digest(&resumed), matcher_digest(&det));
         for _ in 0..2 {
             let delta = w.advance();
             let (a, sa) = det.advance_with_anomaly(&SHel, &delta);
@@ -806,7 +611,7 @@ mod tests {
             assert_eq!(a.detection.delta.to_bits(), b.detection.delta.to_bits());
             assert_eq!(a.detection.detected, b.detection.detected);
             assert_eq!(a.report.dirty, b.report.dirty);
-            assert_eq!(resumed.index().layout_digest(), det.index().layout_digest());
+            assert_eq!(matcher_digest(&resumed), matcher_digest(&det));
             for (x, y) in sa.iter().zip(&sb) {
                 assert_eq!(x.node, y.node);
                 assert_eq!(x.score.to_bits(), y.score.to_bits());
@@ -825,7 +630,7 @@ mod tests {
         for &e in &events {
             w.push(e);
         }
-        let mut det = StreamingAnomaly::new(&scheme, CommGraph::empty(NUM_NODES), &subjects, 4);
+        let mut det = exact_anomaly(&scheme, &subjects);
         let _ = det.advance(&SHel, &w.advance());
         let _ = det.advance(&SHel, &w.advance());
         // Window 1 -> 2 is the swap.
@@ -834,7 +639,19 @@ mod tests {
         assert!(top2.contains(&n(0)) && top2.contains(&n(1)), "{scores:?}");
     }
 
-    fn sketch_masquerade() -> SketchMasquerade {
+    /// The sketch pair: an LSH front over a sketch tier's signatures,
+    /// with `prev` defaulting to the tier's current signatures.
+    fn sketch_parts(
+        tier: SketchTier,
+        prev: Option<SignatureSet>,
+        cfg: DetectorConfig,
+    ) -> Result<TieredMasquerade<'static>, String> {
+        let ann = AnnIndex::build(tier.signatures(), AnnConfig::default());
+        let prev = prev.unwrap_or_else(|| tier.signatures().clone());
+        TieredMasquerade::from_parts(Box::new(tier), Box::new(ann), cfg, ShardPlan::new(1), prev)
+    }
+
+    fn sketch_masquerade() -> TieredMasquerade<'static> {
         let subjects: Vec<NodeId> = (0..6).map(n).collect();
         let cfg = DetectorConfig {
             k: 4,
@@ -850,15 +667,14 @@ mod tests {
             seed: 5,
             ..StreamConfig::default()
         };
-        SketchMasquerade::new_sketch(
+        let tier = SketchTier::new(
             SketchScheme::TopTalkers,
             stream_cfg,
             &subjects,
+            4,
             NUM_NODES,
-            cfg,
-            AnnConfig::default(),
-            ShardPlan::new(1),
-        )
+        );
+        sketch_parts(tier, None, cfg).expect("fresh parts are consistent")
     }
 
     /// The sketch-tier detector must flag the swap window just like the
@@ -873,7 +689,7 @@ mod tests {
         }
         let mut det = sketch_masquerade();
         assert_eq!(det.tier().tier_name(), "sketch");
-        assert!(!det.tier().is_exact());
+        assert_eq!(det.tier().dropped_changes(), 0);
         let mut swap_detected = false;
         for _ in 0..3 {
             let delta = w.advance();
@@ -920,9 +736,6 @@ mod tests {
     /// the serve snapshot/recovery discipline for the sketch tier.
     #[test]
     fn sketch_resume_continues_identically() {
-        use comsig_core::persist::{Dec, Enc};
-        use comsig_sketch::tier::SketchTier;
-
         let events = stream();
         let mut w = SlidingWindower::tumbling(0, 10);
         for &e in &events {
@@ -940,14 +753,8 @@ mod tests {
         let mut dec = Dec::new(&bytes);
         let tier = SketchTier::decode_state(&mut dec).expect("state decodes");
         dec.finish("sketch tier state").expect("no trailing bytes");
-        let mut resumed = SketchMasquerade::resume_sketch(
-            tier,
-            Some(det.prev_signatures().clone()),
-            *det.config(),
-            AnnConfig::default(),
-            ShardPlan::new(1),
-        )
-        .expect("parts are consistent");
+        let mut resumed = sketch_parts(tier, Some(det.prev_signatures().clone()), *det.config())
+            .expect("parts are consistent");
 
         for _ in 0..2 {
             let delta = w.advance();
@@ -968,8 +775,6 @@ mod tests {
     /// Prev/current subject mismatches must be rejected on sketch resume.
     #[test]
     fn sketch_resume_rejects_subject_mismatch() {
-        use comsig_sketch::tier::SketchTier;
-
         let tier = SketchTier::new(
             SketchScheme::TopTalkers,
             StreamConfig::default(),
@@ -978,13 +783,6 @@ mod tests {
             8,
         );
         let wrong = SignatureSet::new(vec![n(0)], vec![comsig_core::Signature::empty()]);
-        let err = SketchMasquerade::resume_sketch(
-            tier,
-            Some(wrong),
-            DetectorConfig::default(),
-            AnnConfig::default(),
-            ShardPlan::new(1),
-        );
-        assert!(err.is_err());
+        assert!(sketch_parts(tier, Some(wrong), DetectorConfig::default()).is_err());
     }
 }

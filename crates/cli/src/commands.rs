@@ -8,6 +8,8 @@ use comsig_apps::anomaly::{anomaly_scores, Alarm};
 use comsig_apps::masquerade::{detect_label_masquerading, DetectorConfig};
 use comsig_apps::measure::{measure, rank_levels, MeasureConfig};
 use comsig_apps::multiusage;
+use comsig_core::distance::BatchDistance;
+use comsig_core::pipeline::DeltaScheme;
 use comsig_core::scheme::SignatureScheme;
 use comsig_datagen::flownet::{self, AnomalyConfig, FlowNetConfig, MultiusageConfig};
 use comsig_datagen::querylog::{self, QueryLogConfig};
@@ -16,7 +18,8 @@ use comsig_eval::roc::self_identification;
 use comsig_graph::io::{read_events_with_policy, write_events};
 use comsig_graph::stats::graph_stats;
 use comsig_graph::window::{GraphSequence, WindowSpec};
-use comsig_graph::{CommGraph, EdgeEvent, IngestPolicy, Interner, NodeId, ShardPlan};
+use comsig_graph::{CommGraph, EdgeEvent, IngestPolicy, Interner, NodeId};
+use comsig_serve::ServeConfig;
 
 use crate::spec::{parse_delta_scheme, parse_distance, parse_scheme, Parsed};
 use crate::CliError;
@@ -167,6 +170,66 @@ fn window_width(parsed: &Parsed) -> Result<u64, CliError> {
         return Err(CliError::Usage("--window-width must be >= 1".into()));
     }
     Ok(width)
+}
+
+/// A detector configuration plus the scheme and distance it names.
+type DetectorFlags = (ServeConfig, Box<dyn DeltaScheme>, Box<dyn BatchDistance>);
+
+/// The detector flags `stream` and `serve` share: scheme, dist, k,
+/// window width and slide, Algorithm 1's `c` and `l`, worker threads,
+/// and the tier with its sketch sizing and LSH banding. The sketch tier
+/// covers tt|ut schemes only, so the combination is rejected here,
+/// before `serve` stamps its config and the mistake becomes durable.
+fn detector_flags(parsed: &Parsed) -> Result<DetectorFlags, CliError> {
+    use comsig_eval::ann::AnnConfig;
+    use comsig_serve::config::TierSpec;
+    use comsig_sketch::stream::StreamConfig;
+
+    let scheme_spec = parsed.get("scheme").unwrap_or("tt").to_owned();
+    let dist_spec = parsed.get("dist").unwrap_or("shel").to_owned();
+    let scheme = parse_delta_scheme(&scheme_spec)?;
+    let dist = parse_distance(&dist_spec)?;
+    let width = window_width(parsed)?;
+    let slide: u64 = parsed.num("slide", width)?;
+    if slide == 0 {
+        return Err(CliError::Usage("--slide must be >= 1".into()));
+    }
+    let tier_spec = parsed.get("tier").unwrap_or("exact");
+    let tier = TierSpec::parse(tier_spec)
+        .ok_or_else(|| CliError::Usage(format!("unknown tier `{tier_spec}` (exact|sketch)")))?;
+    let config = ServeConfig {
+        scheme_spec,
+        dist_spec,
+        k: parsed.num("k", 10)?,
+        width,
+        slide,
+        threshold_divisor: parsed.num("c", 5.0)?,
+        top_l: parsed.num("l", 3)?,
+        threads: parsed.num("threads", 0)?,
+        tier,
+        sketch: StreamConfig {
+            cm_width: parsed.num("cm-width", 128)?,
+            cm_depth: parsed.num("cm-depth", 4)?,
+            candidate_budget: parsed.num("budget", 64)?,
+            fm_bitmaps: parsed.num("fm", 32)?,
+            seed: parsed.num("sketch-seed", 1)?,
+            indeg_cells: parsed.num("indeg-cells", 0)?,
+            indeg_depth: parsed.num("indeg-depth", 2)?,
+        },
+        ann: AnnConfig {
+            bands: parsed.num("bands", AnnConfig::default().bands)?,
+            rows: parsed.num("rows", AnnConfig::default().rows)?,
+            seed: parsed.num("sketch-seed", AnnConfig::default().seed)?,
+        },
+        ..ServeConfig::default()
+    };
+    if config.is_sketch() && config.sketch_scheme().is_err() {
+        return Err(CliError::Usage(format!(
+            "--tier sketch supports tt|ut schemes, not `{}`",
+            config.scheme_spec
+        )));
+    }
+    Ok((config, scheme, dist))
 }
 
 fn load(parsed: &Parsed, out: &mut dyn Write) -> Result<Loaded, CliError> {
@@ -553,222 +616,106 @@ fn cmd_detect(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
 // --- stream ------------------------------------------------------------------
 
 fn cmd_stream(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
-    use comsig_apps::stream::{
-        SketchAnomaly, SketchMasquerade, StreamingAnomaly, StreamingMasquerade, TieredAnomaly,
-    };
-    use comsig_eval::ann::AnnConfig;
+    use comsig_apps::stream::TieredAnomaly;
     use comsig_graph::SlidingWindower;
-    use comsig_sketch::stream::StreamConfig;
-    use comsig_sketch::tier::{SketchScheme, SketchTier};
+    use comsig_serve::state::{build_detector, subject_sources, Origin};
 
     let (interner, events) = load_events(parsed, out)?;
-    let scheme_spec = parsed.get("scheme").unwrap_or("tt");
-    let scheme = parse_delta_scheme(scheme_spec)?;
-    let dist = dist_of(parsed)?;
-    let k: usize = parsed.num("k", 10)?;
-    let width = window_width(parsed)?;
-    let slide: u64 = parsed.num("slide", width)?;
-    if slide == 0 {
-        return Err(CliError::Usage("--slide must be >= 1".into()));
-    }
-    let task = parsed.get("task").unwrap_or("anomaly");
-    let top: usize = parsed.num("top", 5)?;
-    // One config struct pins the worker count through the pipeline, the
+    // One config pins the worker count through the tier advance, the
     // index patching and the detector sweep. Every plan is bit-identical,
     // so the thread count is deliberately absent from the output.
-    let threads: usize = parsed.num("threads", 0)?;
-    let plan = if threads == 0 {
-        ShardPlan::auto()
-    } else {
-        ShardPlan::new(threads)
-    };
-    // Tier choice: `exact` maintains the materialised graph and is
-    // bit-identical to cold recomputes; `sketch` folds the deltas into
-    // bounded per-node sketches (tt/ut only) and fronts matching with a
-    // banded-LSH index — documented one-sided error, Θ(1) state/node.
-    let tier = parsed.get("tier").unwrap_or("exact");
-    let sketch_scheme = match tier {
-        "exact" => None,
-        "sketch" => Some(SketchScheme::parse(scheme_spec).ok_or_else(|| {
-            CliError::Usage(format!(
-                "--tier sketch supports tt|ut schemes, not `{scheme_spec}`"
-            ))
-        })?),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown tier `{other}` (exact|sketch)"
-            )));
-        }
-    };
-    let stream_cfg = StreamConfig {
-        cm_width: parsed.num("cm-width", 128)?,
-        cm_depth: parsed.num("cm-depth", 4)?,
-        candidate_budget: parsed.num("budget", 64)?,
-        fm_bitmaps: parsed.num("fm", 32)?,
-        seed: parsed.num("sketch-seed", 1)?,
-        indeg_cells: parsed.num("indeg-cells", 0)?,
-        indeg_depth: parsed.num("indeg-depth", 2)?,
-    };
-    let ann = AnnConfig {
-        bands: parsed.num("bands", AnnConfig::default().bands)?,
-        rows: parsed.num("rows", AnnConfig::default().rows)?,
-        seed: parsed.num("sketch-seed", AnnConfig::default().seed)?,
-    };
+    let (config, scheme, dist) = detector_flags(parsed)?;
+    let task = parsed.get("task").unwrap_or("anomaly");
+    let top: usize = parsed.num("top", 5)?;
 
     // Fixed subject population: every label that ever speaks.
-    let mut subjects: Vec<NodeId> = {
-        let set: std::collections::BTreeSet<NodeId> = events.iter().map(|e| e.src).collect();
-        set.into_iter().collect()
-    };
-    subjects.sort_unstable();
-
+    let subjects = subject_sources(&events);
     let start = events.iter().map(|e| e.time).min().unwrap_or(0);
-    let mut windower = SlidingWindower::new(start, width, slide);
+    let mut windower = SlidingWindower::new(start, config.width, config.slide);
     for &e in &events {
         windower.push(e);
     }
 
     writeln!(
         out,
-        "streaming {} over {} subjects, scheme {}, dist {} (width {width}, slide {slide})",
+        "streaming {} over {} subjects, scheme {}, dist {} (width {}, slide {})",
         task,
         subjects.len(),
         scheme.name(),
-        dist.name()
+        dist.name(),
+        config.width,
+        config.slide
     )?;
-    let empty = CommGraph::empty(interner.len());
+    let det = build_detector(
+        scheme.as_ref(),
+        &config,
+        Origin::Genesis {
+            subjects: &subjects,
+            num_nodes: interner.len(),
+        },
+    )
+    .map_err(|e| CliError::Failed(e.to_string()))?;
 
     // The per-window report lines are identical between tiers on
     // purpose: `--tier exact` output stays byte-for-byte what it was
     // before the tier seam existed.
-    fn report_anomaly(
-        out: &mut dyn Write,
-        interner: &Interner,
-        delta: &comsig_graph::WindowDelta,
-        scores: &[comsig_apps::anomaly::AnomalyScore],
-        report: &comsig_core::pipeline::AdvanceReport,
-        top: usize,
-    ) -> Result<(), CliError> {
-        writeln!(
-            out,
-            "window [{}, {}): {} edge changes, {}/{} recomputed",
-            delta.start,
-            delta.end,
-            report.changed_edges,
-            report.dirty_subjects(),
-            report.total_subjects
-        )?;
-        for s in scores.iter().take(top).filter(|s| s.score > 0.0) {
-            writeln!(
-                out,
-                "  {:16} score = {:.4}",
-                interner.label(s.node).unwrap_or("?"),
-                s.score
-            )?;
-        }
-        Ok(())
-    }
-    fn report_masquerade(
-        out: &mut dyn Write,
-        interner: &Interner,
-        delta: &comsig_graph::WindowDelta,
-        step: &comsig_apps::stream::StreamDetection,
-    ) -> Result<(), CliError> {
-        writeln!(
-            out,
-            "window [{}, {}): {} edge changes, {}/{} recomputed, delta = {:.4}, {} re-paired",
-            delta.start,
-            delta.end,
-            step.report.changed_edges,
-            step.report.dirty_subjects(),
-            step.report.total_subjects,
-            step.detection.delta,
-            step.detection.detected.len()
-        )?;
-        for (v, u) in &step.detection.detected {
-            writeln!(
-                out,
-                "  {} -> {}",
-                interner.label(*v).unwrap_or("?"),
-                interner.label(*u).unwrap_or("?")
-            )?;
-        }
-        Ok(())
-    }
-
-    let mut sketch_memory = None;
-    match (task, sketch_scheme) {
-        ("anomaly", None) => {
-            let mut det = StreamingAnomaly::with_plan(scheme.as_ref(), empty, &subjects, k, plan);
+    let label = |v: NodeId| interner.label(v).unwrap_or("?");
+    let (memory, matcher_entries, dropped) = match task {
+        "anomaly" => {
+            let mut det = TieredAnomaly::from_tier(det.into_tier());
             while windower.pending_events() > 0 {
                 let delta = windower.advance();
                 let (scores, report) = det.advance(dist.as_ref(), &delta);
-                report_anomaly(out, &interner, &delta, &scores, &report, top)?;
+                writeln!(
+                    out,
+                    "window [{}, {}): {} edge changes, {}/{} recomputed",
+                    delta.start,
+                    delta.end,
+                    report.changed_edges,
+                    report.dirty_subjects(),
+                    report.total_subjects
+                )?;
+                for s in scores.iter().take(top).filter(|s| s.score > 0.0) {
+                    writeln!(out, "  {:16} score = {:.4}", label(s.node), s.score)?;
+                }
             }
+            (det.tier_memory(), 0, det.tier().dropped_changes())
         }
-        ("anomaly", Some(s)) => {
-            let tier = SketchTier::new(s, stream_cfg, &subjects, k, interner.len());
-            let mut det: SketchAnomaly = TieredAnomaly::from_tier(tier);
-            while windower.pending_events() > 0 {
-                let delta = windower.advance();
-                let (scores, report) = det.advance(dist.as_ref(), &delta);
-                report_anomaly(out, &interner, &delta, &scores, &report, top)?;
-            }
-            sketch_memory = Some((det.tier_memory(), 0usize, det.tier().dropped_changes()));
-        }
-        ("masquerade", None) => {
-            let cfg = DetectorConfig {
-                k,
-                threshold_divisor: parsed.num("c", 5.0)?,
-                top_l: parsed.num("l", 3)?,
-            };
-            let mut det =
-                StreamingMasquerade::with_plan(scheme.as_ref(), empty, &subjects, cfg, plan);
+        "masquerade" => {
+            let mut det = det;
             while windower.pending_events() > 0 {
                 let delta = windower.advance();
                 let step = det.advance(dist.as_ref(), &delta);
-                report_masquerade(out, &interner, &delta, &step)?;
+                writeln!(
+                    out,
+                    "window [{}, {}): {} edge changes, {}/{} recomputed, delta = {:.4}, {} re-paired",
+                    delta.start,
+                    delta.end,
+                    step.report.changed_edges,
+                    step.report.dirty_subjects(),
+                    step.report.total_subjects,
+                    step.detection.delta,
+                    step.detection.detected.len()
+                )?;
+                for &(v, u) in &step.detection.detected {
+                    writeln!(out, "  {} -> {}", label(v), label(u))?;
+                }
             }
+            let entries = det.matcher().memory_entries();
+            (det.tier_memory(), entries, det.tier().dropped_changes())
         }
-        ("masquerade", Some(s)) => {
-            use comsig_eval::ann::SubjectMatcher;
-            let cfg = DetectorConfig {
-                k,
-                threshold_divisor: parsed.num("c", 5.0)?,
-                top_l: parsed.num("l", 3)?,
-            };
-            let mut det = SketchMasquerade::new_sketch(
-                s,
-                stream_cfg,
-                &subjects,
-                interner.len(),
-                cfg,
-                ann,
-                plan,
-            );
-            while windower.pending_events() > 0 {
-                let delta = windower.advance();
-                let step = det.advance(dist.as_ref(), &delta);
-                report_masquerade(out, &interner, &delta, &step)?;
-            }
-            sketch_memory = Some((
-                det.tier_memory(),
-                det.matcher().memory_entries(),
-                det.tier().dropped_changes(),
-            ));
-        }
-        (other, _) => {
+        other => {
             return Err(CliError::Usage(format!(
                 "unknown stream task `{other}` (anomaly|masquerade)"
             )));
         }
-    }
-    if let Some((mem, matcher_entries, dropped)) = sketch_memory {
+    };
+    if config.is_sketch() {
         writeln!(
             out,
             "sketch tier: {} state entries (~{} KiB), {} matcher entries, {} dropped changes",
-            mem.state_entries,
-            mem.state_bytes / 1024,
+            memory.state_entries,
+            memory.state_bytes / 1024,
             matcher_entries,
             dropped
         )?;
@@ -872,11 +819,7 @@ fn cmd_advise(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
 // --- serve ------------------------------------------------------------------
 
 fn cmd_serve(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
-    use comsig_eval::ann::AnnConfig;
-    use comsig_serve::config::TierSpec;
-    use comsig_serve::{run_server, ServeConfig, ServerOpts};
-    use comsig_sketch::stream::StreamConfig;
-    use comsig_sketch::tier::SketchScheme;
+    use comsig_serve::{run_server, ServerOpts};
 
     let data_dir = parsed.require("data-dir")?;
     let seed_path = parsed.require("seed-events")?;
@@ -893,54 +836,13 @@ fn cmd_serve(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     }
     let subjects = comsig_serve::state::subject_sources(&seed_events);
 
-    let scheme_spec = parsed.get("scheme").unwrap_or("tt").to_owned();
-    let dist_spec = parsed.get("dist").unwrap_or("shel").to_owned();
-    let scheme = parse_delta_scheme(&scheme_spec)?;
-    let dist = parse_distance(&dist_spec)?;
-    let width = window_width(parsed)?;
-    let slide: u64 = parsed.num("slide", width)?;
-    if slide == 0 {
-        return Err(CliError::Usage("--slide must be >= 1".into()));
-    }
+    let (flags, scheme, dist) = detector_flags(parsed)?;
     let default_start = seed_events.iter().map(|e| e.time).min().unwrap_or(0);
-    // Tier choice mirrors `comsig stream`: the sketch tier only covers
-    // tt/ut schemes, so reject the combination before the server stamps
-    // its config and the mistake becomes durable.
-    let tier_spec = parsed.get("tier").unwrap_or("exact");
-    let tier = TierSpec::parse(tier_spec)
-        .ok_or_else(|| CliError::Usage(format!("unknown tier `{tier_spec}` (exact|sketch)")))?;
-    if tier == TierSpec::Sketch && SketchScheme::parse(&scheme_spec).is_none() {
-        return Err(CliError::Usage(format!(
-            "--tier sketch supports tt|ut schemes, not `{scheme_spec}`"
-        )));
-    }
     let config = ServeConfig {
-        scheme_spec,
-        dist_spec,
-        k: parsed.num("k", 10)?,
-        width,
-        slide,
         start: parsed.num("start", default_start)?,
-        threshold_divisor: parsed.num("c", 5.0)?,
-        top_l: parsed.num("l", 3)?,
         snapshot_every: parsed.num("snapshot-every", 0)?,
-        threads: parsed.num("threads", 0)?,
         ingest,
-        tier,
-        sketch: StreamConfig {
-            cm_width: parsed.num("cm-width", 128)?,
-            cm_depth: parsed.num("cm-depth", 4)?,
-            candidate_budget: parsed.num("budget", 64)?,
-            fm_bitmaps: parsed.num("fm", 32)?,
-            seed: parsed.num("sketch-seed", 1)?,
-            indeg_cells: parsed.num("indeg-cells", 0)?,
-            indeg_depth: parsed.num("indeg-depth", 2)?,
-        },
-        ann: AnnConfig {
-            bands: parsed.num("bands", AnnConfig::default().bands)?,
-            rows: parsed.num("rows", AnnConfig::default().rows)?,
-            seed: parsed.num("sketch-seed", AnnConfig::default().seed)?,
-        },
+        ..flags
     };
     let opts = ServerOpts {
         listen: parsed.get("listen").unwrap_or("127.0.0.1:0").to_owned(),

@@ -38,12 +38,12 @@ impl ConcreteScheme {
 }
 
 fn parse_concrete(spec: &str) -> Result<ConcreteScheme, CliError> {
-    let (head, rest) = match spec.split_once(':') {
-        Some((h, r)) => (h, r),
-        None => (spec, ""),
-    };
+    let (head, rest) = spec.split_once(':').unwrap_or((spec, ""));
     match head {
-        "tt" => Ok(ConcreteScheme::Tt(TopTalkers)),
+        "tt" if rest.is_empty() => Ok(ConcreteScheme::Tt(TopTalkers)),
+        "tt" => Err(CliError::Usage(format!(
+            "`tt` takes no arguments, got `{rest}`"
+        ))),
         "ut" => match rest {
             "" | "ratio" => Ok(ConcreteScheme::Ut(UnexpectedTalkers::new())),
             "tfidf" => Ok(ConcreteScheme::Ut(UnexpectedTalkers::with_scaling(
@@ -57,14 +57,18 @@ fn parse_concrete(spec: &str) -> Result<ConcreteScheme, CliError> {
             ))),
         },
         "rwr" => {
-            let opts = parse_kv(rest)?;
+            let opts = parse_kv(rest, &["c", "h"])?;
             let c = get_f64(&opts, "c")?.unwrap_or(0.1);
-            let mut scheme = match get_f64(&opts, "h")? {
-                Some(h) if h >= 1.0 => Rwr::truncated(c, h as u32),
-                Some(h) => {
-                    return Err(CliError::Usage(format!("h must be >= 1, got {h}")));
-                }
+            let mut scheme = match opts.get("h") {
                 None => Rwr::full(c),
+                Some(h) => match h.parse::<u32>() {
+                    Ok(h) if h >= 1 => Rwr::truncated(c, h),
+                    _ => {
+                        return Err(CliError::Usage(format!(
+                            "`h` must be an integer >= 1, got `{h}`"
+                        )));
+                    }
+                },
             };
             if opts.contains_key("undirected") {
                 scheme = scheme.undirected();
@@ -72,7 +76,7 @@ fn parse_concrete(spec: &str) -> Result<ConcreteScheme, CliError> {
             Ok(ConcreteScheme::Rwr(scheme))
         }
         "push" => {
-            let opts = parse_kv(rest)?;
+            let opts = parse_kv(rest, &["c", "eps"])?;
             let c = get_f64(&opts, "c")?.unwrap_or(0.1);
             let eps = get_f64(&opts, "eps")?.unwrap_or(1e-4);
             let mut scheme = PushRwr::new(c, eps);
@@ -119,20 +123,39 @@ pub fn parse_distance(name: &str) -> Result<Box<dyn BatchDistance>, CliError> {
     }
 }
 
-fn parse_kv(rest: &str) -> Result<FxHashMap<String, String>, CliError> {
+/// Splits `key=value,...,undirected` options. `keys` are the valued
+/// options the scheme accepts; `undirected` is the only bare flag. Any
+/// other key, a value on `undirected`, or a missing value is a usage
+/// error — a typo must never silently fall back to a default.
+fn parse_kv(rest: &str, keys: &[&str]) -> Result<FxHashMap<String, String>, CliError> {
     let mut map = FxHashMap::default();
     if rest.is_empty() {
         return Ok(map);
     }
     for part in rest.split(',') {
-        match part.split_once('=') {
-            Some((k, v)) => {
-                map.insert(k.trim().to_owned(), v.trim().to_owned());
+        let (key, value) = match part.split_once('=') {
+            Some((k, v)) => (k.trim(), Some(v.trim())),
+            None => (part.trim(), None),
+        };
+        match value {
+            None if key == "undirected" => {}
+            Some(_) if key == "undirected" => {
+                return Err(CliError::Usage(
+                    "`undirected` is a bare flag and takes no value".into(),
+                ));
             }
-            None => {
-                map.insert(part.trim().to_owned(), String::new());
+            Some(_) if keys.contains(&key) => {}
+            None if keys.contains(&key) => {
+                return Err(CliError::Usage(format!("`{key}` needs a value")));
+            }
+            _ => {
+                return Err(CliError::Usage(format!(
+                    "unknown scheme option `{key}` (expected {}|undirected)",
+                    keys.join("|")
+                )));
             }
         }
+        map.insert(key.to_owned(), value.unwrap_or_default().to_owned());
     }
     Ok(map)
 }
@@ -250,11 +273,35 @@ mod tests {
 
     #[test]
     fn bad_specs_rejected() {
-        assert!(parse_scheme("bogus").is_err());
-        assert!(parse_scheme("ut:wat").is_err());
-        assert!(parse_scheme("rwr:h=abc").is_err());
-        assert!(parse_scheme("rwr:h=0").is_err());
+        for spec in [
+            "bogus",
+            "ut:wat",
+            "rwr:h=abc",
+            "rwr:h=0",
+            "rwr:h=2.5",
+            "rwr:h",
+            "rwr:h=3,undirectd",
+            "rwr:h=3,undirected=no",
+            "rwr:h=3,undirected=",
+            "push:c=0.1,epsilon=1e-5",
+            "tt:x",
+        ] {
+            assert!(
+                matches!(parse_scheme(spec), Err(CliError::Usage(_))),
+                "{spec}"
+            );
+            assert!(parse_delta_scheme(spec).is_err(), "{spec}");
+        }
         assert!(parse_distance("nope").is_err());
+        // The sketch tier approximates ratio-UT only: the other scalings
+        // must not silently run as ratio-UT.
+        for spec in ["ut:tfidf", "ut:log", "tt:x"] {
+            assert_eq!(
+                comsig_sketch::tier::SketchScheme::parse(spec),
+                None,
+                "{spec}"
+            );
+        }
     }
 
     #[test]

@@ -15,14 +15,18 @@
 //!   documented one-sided error bands for `Θ(1)` state per node.
 //!
 //! Downstream drivers (the streaming detectors, `comsig stream`,
-//! `comsig serve`) are generic over the tier, so "exact" vs "sketch" is
-//! a per-run mode choice, not a separate code path. The exact tier's
-//! bit-identity contracts are unchanged; the sketch tier reports its
-//! resident state through [`SignatureTier::memory`] so the accuracy/
-//! memory tradeoff is measured, never implicit.
+//! `comsig serve`) hold the tier as a `Box<dyn SignatureTier>`, so
+//! "exact" vs "sketch" is a per-run mode choice, not a separate code
+//! path. Each tier also owns its durable codec
+//! ([`SignatureTier::encode_state`]), so snapshots and state digests
+//! never branch on the tier. The exact tier's bit-identity contracts are
+//! unchanged; the sketch tier reports its resident state through
+//! [`SignatureTier::memory`] so the accuracy/memory tradeoff is
+//! measured, never implicit.
 
 use comsig_graph::WindowDelta;
 
+use crate::persist::{self, Enc};
 use crate::pipeline::{AdvanceReport, DeltaScheme, SignaturePipeline};
 use crate::signature::SignatureSet;
 
@@ -45,8 +49,9 @@ pub struct TierMemory {
 /// covers exactly the fixed subject population it was seeded with, and
 /// the returned [`AdvanceReport::dirty`] lists (in maintained subject
 /// order) every subject whose signature may differ from the previous
-/// window — a downstream index patches exactly those.
-pub trait SignatureTier {
+/// window — a downstream index patches exactly those. `Send`, so a
+/// boxed tier can live inside the serve daemon's shared state.
+pub trait SignatureTier: Send {
     /// Short stable name of the tier (`"exact"`, `"sketch"`), used in
     /// CLI output and persisted config stamps.
     fn tier_name(&self) -> &'static str;
@@ -61,10 +66,16 @@ pub trait SignatureTier {
     /// Resident state held by the tier to support the next advance.
     fn memory(&self) -> TierMemory;
 
-    /// Whether the maintained signatures are bit-identical to a cold
-    /// exact rebuild (true for the exact tier; the sketch tier instead
-    /// documents error bands).
-    fn is_exact(&self) -> bool;
+    /// Poisoned or phantom changes the tier dropped instead of applying
+    /// (always zero on the exact tier).
+    fn dropped_changes(&self) -> u64 {
+        0
+    }
+
+    /// Appends the tier's complete durable state, current signatures
+    /// included, to a snapshot body or state digest. Deterministic:
+    /// equal states encode to equal bytes.
+    fn encode_state(&self, enc: &mut Enc);
 }
 
 impl<S: DeltaScheme + ?Sized> SignatureTier for SignaturePipeline<'_, S> {
@@ -93,8 +104,10 @@ impl<S: DeltaScheme + ?Sized> SignatureTier for SignaturePipeline<'_, S> {
         }
     }
 
-    fn is_exact(&self) -> bool {
-        true
+    /// The window graph, then the current signatures.
+    fn encode_state(&self, enc: &mut Enc) {
+        persist::encode_graph(enc, self.graph());
+        persist::encode_signature_set(enc, SignaturePipeline::signatures(self));
     }
 }
 
@@ -125,7 +138,7 @@ mod tests {
         let mut seamed = direct.clone();
         let tier: &mut dyn SignatureTier = &mut seamed;
         assert_eq!(tier.tier_name(), "exact");
-        assert!(tier.is_exact());
+        assert_eq!(tier.dropped_changes(), 0);
         for _ in 0..2 {
             let delta = w.advance();
             let a = direct.advance(&delta);

@@ -31,6 +31,7 @@
 use rustc_hash::FxHashSet;
 
 use comsig_core::distance::BatchDistance;
+use comsig_core::persist::{Enc, Fnv};
 use comsig_core::{Signature, SignatureSet};
 use comsig_graph::{NodeId, ShardPlan};
 use comsig_sketch::lsh::LshIndex;
@@ -72,13 +73,7 @@ impl AnnConfig {
 /// [`AnnIndex`] the LSH-fronted approximate one. Object-safe, so a
 /// pipeline can hold `Box<dyn SubjectMatcher>` and pick the tier at
 /// runtime.
-pub trait SubjectMatcher: Sync {
-    /// `"exact"` or `"sketch"` — stamped into reports and benchmarks.
-    fn matcher_name(&self) -> &'static str;
-
-    /// Whether rankings are bit-identical to brute force.
-    fn is_exact(&self) -> bool;
-
+pub trait SubjectMatcher: Send + Sync {
     /// The candidate signatures this matcher ranks against.
     fn candidate_set(&self) -> &SignatureSet;
 
@@ -104,17 +99,18 @@ pub trait SubjectMatcher: Sync {
     /// Logical entries held — the matcher's memory axis in
     /// `bench_snapshot`.
     fn memory_entries(&self) -> usize;
+
+    /// Appends the matcher state a rebuild from the candidate
+    /// signatures would not reproduce to a snapshot body. Nothing by
+    /// default: a matcher derived purely from its candidates is rebuilt
+    /// on resume instead.
+    fn encode_state(&self, _enc: &mut Enc) {}
+
+    /// Folds the same history-dependent state into a state digest.
+    fn digest_state(&self, _h: &mut Fnv) {}
 }
 
 impl SubjectMatcher for PostingsIndex<'_> {
-    fn matcher_name(&self) -> &'static str {
-        "exact"
-    }
-
-    fn is_exact(&self) -> bool {
-        true
-    }
-
     fn candidate_set(&self) -> &SignatureSet {
         self.candidates()
     }
@@ -136,6 +132,17 @@ impl SubjectMatcher for PostingsIndex<'_> {
 
     fn memory_entries(&self) -> usize {
         self.posting_mass() + self.len()
+    }
+
+    /// The physical layout: patched slot assignment and posting order
+    /// are history-dependent, so a cold rebuild would not be
+    /// byte-identical.
+    fn encode_state(&self, enc: &mut Enc) {
+        self.export_layout().encode(enc);
+    }
+
+    fn digest_state(&self, h: &mut Fnv) {
+        h.write_u64(self.layout_digest());
     }
 }
 
@@ -225,15 +232,9 @@ impl AnnIndex {
     }
 }
 
+/// Persists nothing: the LSH front is a pure function of the candidate
+/// signatures and [`AnnConfig`], so resume rebuilds it.
 impl SubjectMatcher for AnnIndex {
-    fn matcher_name(&self) -> &'static str {
-        "sketch"
-    }
-
-    fn is_exact(&self) -> bool {
-        false
-    }
-
     fn candidate_set(&self) -> &SignatureSet {
         &self.candidates
     }
@@ -514,13 +515,31 @@ mod tests {
         let set = twin_population();
         let mut index = PostingsIndex::build_owned(set.clone());
         let m: &mut dyn SubjectMatcher = &mut index;
-        assert!(m.is_exact());
-        assert_eq!(m.matcher_name(), "exact");
         assert_eq!(m.candidate_set().len(), set.len());
         assert!(m.memory_entries() > 0);
         let fresh: Vec<usize> = (0..10).map(|j| 88_000 + j).collect();
         m.patch(vec![(n(0), sig(&fresh))], &ShardPlan::new(1));
         assert_eq!(m.candidate_set().get(n(0)).expect("sig").len(), fresh.len());
+    }
+
+    /// The exact index persists and digests its patched layout; the LSH
+    /// front contributes nothing, since resume rebuilds it.
+    #[test]
+    fn only_the_postings_layout_enters_durable_state() {
+        let set = twin_population();
+        let index = PostingsIndex::build_owned(set.clone());
+        let ann = AnnIndex::build(&set, AnnConfig::default());
+        let state = |m: &dyn SubjectMatcher| {
+            let (mut enc, mut h) = (Enc::new(), Fnv::new());
+            m.encode_state(&mut enc);
+            m.digest_state(&mut h);
+            (enc.byte_len(), h.finish())
+        };
+        let mut layout_only = Fnv::new();
+        layout_only.write_u64(index.layout_digest());
+        assert_eq!(state(&index).1, layout_only.finish());
+        assert!(state(&index).0 > 0);
+        assert_eq!(state(&ann), (0, Fnv::new().finish()));
     }
 
     #[test]

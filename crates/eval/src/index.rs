@@ -45,6 +45,7 @@ use rustc_hash::FxHashMap;
 
 use comsig_core::contract;
 use comsig_core::distance::{BatchDistance, SigScalars};
+use comsig_core::persist::{CodecError, Dec, Enc};
 use comsig_core::{Signature, SignatureSet};
 use comsig_graph::{NodeId, ShardPlan};
 
@@ -93,6 +94,53 @@ pub struct IndexLayout {
     /// Per-slot posting lists of `(candidate position, weight)`,
     /// verbatim.
     pub postings: Vec<Vec<(u32, f64)>>,
+}
+
+impl IndexLayout {
+    /// Appends the layout to a snapshot body: the member→slot pairs,
+    /// then every posting list verbatim.
+    pub fn encode(&self, enc: &mut Enc) {
+        enc.len(self.members.len());
+        for &(u, slot) in &self.members {
+            enc.u32(u.raw());
+            enc.u32(slot);
+        }
+        enc.len(self.postings.len());
+        for list in &self.postings {
+            enc.len(list.len());
+            for &(pos, w) in list {
+                enc.u32(pos);
+                enc.f64(w);
+            }
+        }
+    }
+
+    /// Reads a layout written by [`encode`](Self::encode). Structural
+    /// validation against the candidates is
+    /// [`PostingsIndex::from_layout`]'s job.
+    ///
+    /// # Errors
+    /// A [`CodecError`] on truncated or oversized input.
+    pub fn decode(dec: &mut Dec<'_>) -> Result<IndexLayout, CodecError> {
+        let n = dec.seq_len(8, "snapshot.layout.members")?;
+        let mut members = Vec::with_capacity(n);
+        for _ in 0..n {
+            let u = NodeId::new(dec.u32("layout.member")? as usize);
+            members.push((u, dec.u32("layout.slot")?));
+        }
+        let n = dec.seq_len(8, "snapshot.layout.postings")?;
+        let mut postings = Vec::with_capacity(n);
+        for _ in 0..n {
+            let m = dec.seq_len(12, "layout.posting_list")?;
+            let mut list = Vec::with_capacity(m);
+            for _ in 0..m {
+                let pos = dec.u32("posting.pos")?;
+                list.push((pos, dec.f64("posting.weight")?));
+            }
+            postings.push(list);
+        }
+        Ok(IndexLayout { members, postings })
+    }
 }
 
 /// One posting-list edit of a sharded update: remove candidate `pos`
@@ -937,6 +985,13 @@ mod tests {
             PostingsIndex::from_layout(idx.candidates().clone(), layout.clone()).unwrap();
         assert_eq!(restored.layout_digest(), idx.layout_digest());
         assert_eq!(restored.export_layout(), layout);
+        // The snapshot codec round-trips the layout exactly.
+        let mut enc = Enc::new();
+        layout.encode(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut dec = Dec::new(&bytes);
+        assert_eq!(IndexLayout::decode(&mut dec).unwrap(), layout);
+        dec.finish("layout").unwrap();
         // The restored index ranks bit-identically too.
         let q = sig(&[(10, 1.0), (11, 1.0)]);
         let a = idx.rank(&Jaccard, &q);

@@ -22,12 +22,10 @@ pub const PANIC_ROOTS: &[&str] = &[
     "PostingsIndex::update",
     "PostingsIndex::update_with",
     "merge_score",
-    "StreamingMasquerade::advance",
-    "StreamingAnomaly::advance",
-    // The tier seam: both detectors are now thin wrappers over the
-    // generic tiered drivers, and the sketch tier's advance is a hot
-    // path of its own (every window folds the delta into the sketches
-    // and re-ranks through the LSH-fronted matcher).
+    // The tier seam: both streaming detectors drive a boxed tier and
+    // matcher, and the sketch tier's advance is a hot path of its own
+    // (every window folds the delta into the sketches and re-ranks
+    // through the LSH-fronted matcher).
     "TieredMasquerade::advance",
     "TieredMasquerade::advance_with_anomaly",
     "TieredAnomaly::advance",

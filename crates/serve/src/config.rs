@@ -29,6 +29,15 @@ impl TierSpec {
         }
     }
 
+    /// The snapshot body's tier tag (`0` exact, `1` sketch).
+    #[must_use]
+    pub fn tag(self) -> u8 {
+        match self {
+            TierSpec::Exact => 0,
+            TierSpec::Sketch => 1,
+        }
+    }
+
     /// Parses a `--tier` value.
     #[must_use]
     pub fn parse(spec: &str) -> Option<Self> {

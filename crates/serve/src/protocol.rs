@@ -138,7 +138,7 @@ fn dispatch(state: &mut DurableState<'_>, op: &str, request: &Value) -> Value {
                 "ready"
             };
             let next = live.windower.next_window();
-            let (tier_mem, matcher_entries) = live.det.memory();
+            let tier_mem = live.det.tier_memory();
             json!({
                 "ok": true,
                 "phase": phase,
@@ -151,10 +151,10 @@ fn dispatch(state: &mut DurableState<'_>, op: &str, request: &Value) -> Value {
                 "wal_epoch": state.wal_epoch(),
                 "subjects": live.subjects.len(),
                 "nodes": live.interner.len(),
-                "tier": live.det.tier_name(),
+                "tier": live.det.tier().tier_name(),
                 "tier_state_entries": tier_mem.state_entries,
                 "tier_state_bytes": tier_mem.state_bytes,
-                "matcher_entries": matcher_entries,
+                "matcher_entries": live.det.matcher().memory_entries(),
             })
         }
         "ingest" => match str_field(request, "lines") {

@@ -5,29 +5,25 @@
 //! previous complete snapshot, or the new complete snapshot — a crash
 //! mid-write leaves at worst a stale `.tmp` sibling that the next
 //! rotation overwrites. The body carries the config stamp, the frozen
-//! label space, the complete windower state, the tier-specific durable
-//! state — **exact**: the graph, both signature buffers and the
-//! physical index layout (patched layouts are history-dependent; a cold
-//! rebuild would not be bit-identical); **sketch**: the tier's complete
-//! sketch state (which embeds the current signatures) plus the previous
-//! signature buffer, while the LSH index is *derived* from signatures
-//! and config at resume, never persisted — the counters, the
+//! label space, the complete windower state, then the detector in one
+//! tier-agnostic sequence — the tier tag, the tier's own state
+//! ([`SignatureTier::encode_state`](comsig_core::SignatureTier::encode_state)),
+//! the previous signature buffer, and the matcher's history-dependent
+//! state (the exact tier's patched postings layout; nothing for the LSH
+//! front, which is rebuilt at resume) — then the counters, the
 //! query-visible residue of the last advance, the WAL epoch this
-//! snapshot supersedes, and the state digest at capture — which
-//! decoding recomputes and verifies.
+//! snapshot supersedes, and the state digest at capture, which decoding
+//! recomputes and verifies.
 
 use std::path::{Path, PathBuf};
 
 use comsig_apps::anomaly::AnomalyScore;
-use comsig_apps::stream::{SketchMasquerade, StreamingMasquerade};
 use comsig_core::persist::{self, Dec, Enc};
 use comsig_core::pipeline::DeltaScheme;
-use comsig_eval::index::{IndexLayout, PostingsIndex};
 use comsig_graph::{Interner, NodeId, SlidingWindower};
-use comsig_sketch::tier::SketchTier;
 
 use crate::config::{ServeConfig, ServeError};
-use crate::state::{detector_config, plan_of, LastWindow, LiveState, TierDetector};
+use crate::state::{build_detector, LastWindow, LiveState, Origin};
 
 /// Magic line of the snapshot container (v2: tier-tagged body).
 pub const SNAPSHOT_MAGIC: &str = "comsig-serve-snapshot v2";
@@ -48,20 +44,6 @@ fn node(raw: u32) -> NodeId {
     NodeId::new(raw as usize)
 }
 
-/// Decoded tier-specific snapshot state, before detector reassembly.
-enum TierState {
-    Exact {
-        graph: comsig_graph::CommGraph,
-        current: comsig_core::SignatureSet,
-        prev: comsig_core::SignatureSet,
-        layout: IndexLayout,
-    },
-    Sketch {
-        tier: SketchTier,
-        prev: comsig_core::SignatureSet,
-    },
-}
-
 /// Encodes the snapshot body for `live`, superseding WAL epochs below
 /// `wal_epoch` (the epoch the daemon switches to after the snapshot
 /// lands).
@@ -78,33 +60,10 @@ pub fn encode_snapshot(config: &ServeConfig, live: &LiveState<'_>, wal_epoch: u6
         enc.u32(s.raw());
     }
     persist::encode_windower(&mut enc, &live.windower.export_state());
-    match &live.det {
-        TierDetector::Exact(det) => {
-            enc.u8(0);
-            persist::encode_graph(&mut enc, det.graph());
-            persist::encode_signature_set(&mut enc, det.signatures());
-            persist::encode_signature_set(&mut enc, det.prev_signatures());
-            let layout = det.index().export_layout();
-            enc.len(layout.members.len());
-            for &(u, slot) in &layout.members {
-                enc.u32(u.raw());
-                enc.u32(slot);
-            }
-            enc.len(layout.postings.len());
-            for list in &layout.postings {
-                enc.len(list.len());
-                for &(pos, w) in list {
-                    enc.u32(pos);
-                    enc.f64(w);
-                }
-            }
-        }
-        TierDetector::Sketch(det) => {
-            enc.u8(1);
-            det.tier().encode_state(&mut enc);
-            persist::encode_signature_set(&mut enc, det.prev_signatures());
-        }
-    }
+    enc.u8(config.tier.tag());
+    live.det.tier().encode_state(&mut enc);
+    persist::encode_signature_set(&mut enc, live.det.prev_signatures());
+    live.det.matcher().encode_state(&mut enc);
     enc.u64(live.windows);
     enc.u64(live.ingested_events);
     match &live.last {
@@ -167,8 +126,7 @@ pub fn decode_snapshot<'a>(
     let windower_state = persist::decode_windower(&mut dec)?;
     let windower = SlidingWindower::from_state(windower_state).map_err(ServeError::Corrupt)?;
     let tier_tag = dec.u8("snapshot.tier")?;
-    let want_tag = u8::from(config.is_sketch());
-    if tier_tag != want_tag {
+    if tier_tag != config.tier.tag() {
         // The stamp already pins the tier; a disagreeing body tag means
         // the file itself is inconsistent, not merely misconfigured.
         return Err(ServeError::Corrupt(format!(
@@ -176,51 +134,7 @@ pub fn decode_snapshot<'a>(
             config.tier.name()
         )));
     }
-    let tier_state = match tier_tag {
-        0 => {
-            let graph = persist::decode_graph(&mut dec)?;
-            let current = persist::decode_signature_set(&mut dec)?;
-            let prev = persist::decode_signature_set(&mut dec)?;
-            let n = dec.seq_len(8, "snapshot.layout.members")?;
-            let mut members = Vec::with_capacity(n);
-            for _ in 0..n {
-                let u = node(dec.u32("layout.member")?);
-                let slot = dec.u32("layout.slot")?;
-                members.push((u, slot));
-            }
-            let n = dec.seq_len(8, "snapshot.layout.postings")?;
-            let mut postings = Vec::with_capacity(n);
-            for _ in 0..n {
-                let m = dec.seq_len(12, "layout.posting_list")?;
-                let mut list = Vec::with_capacity(m);
-                for _ in 0..m {
-                    let pos = dec.u32("posting.pos")?;
-                    let w = dec.f64("posting.weight")?;
-                    list.push((pos, w));
-                }
-                postings.push(list);
-            }
-            TierState::Exact {
-                graph,
-                current,
-                prev,
-                layout: IndexLayout { members, postings },
-            }
-        }
-        _ => {
-            let tier = SketchTier::decode_state(&mut dec)?;
-            let prev = persist::decode_signature_set(&mut dec)?;
-            if tier.k() != config.k
-                || tier.stream().config() != config.sketch
-                || tier.scheme() != config.sketch_scheme()?
-            {
-                return Err(ServeError::Corrupt(
-                    "snapshot sketch state disagrees with the stamped configuration".to_owned(),
-                ));
-            }
-            TierState::Sketch { tier, prev }
-        }
-    };
+    let det = build_detector(scheme, config, Origin::Snapshot(&mut dec))?;
     let windows = dec.u64("snapshot.windows")?;
     let ingested_events = dec.u64("snapshot.ingested_events")?;
     let last = match dec.u8("snapshot.last.tag")? {
@@ -267,39 +181,6 @@ pub fn decode_snapshot<'a>(
     let stored_digest = dec.u64("snapshot.digest")?;
     dec.finish("snapshot")?;
 
-    let det = match tier_state {
-        TierState::Exact {
-            graph,
-            current,
-            prev,
-            layout,
-        } => {
-            let index =
-                PostingsIndex::from_layout(current.clone(), layout).map_err(ServeError::Corrupt)?;
-            TierDetector::Exact(Box::new(
-                StreamingMasquerade::resume(
-                    scheme,
-                    graph,
-                    current,
-                    prev,
-                    index,
-                    detector_config(config),
-                    plan_of(config),
-                )
-                .map_err(ServeError::Corrupt)?,
-            ))
-        }
-        TierState::Sketch { tier, prev } => TierDetector::Sketch(Box::new(
-            SketchMasquerade::resume_sketch(
-                tier,
-                Some(prev),
-                detector_config(config),
-                config.ann,
-                plan_of(config),
-            )
-            .map_err(ServeError::Corrupt)?,
-        )),
-    };
     let live = LiveState {
         interner,
         subjects,
@@ -377,10 +258,6 @@ mod tests {
         assert_eq!(epoch, 7);
         assert_eq!(back.state_digest(), live.state_digest());
         assert_eq!(back.last, live.last);
-        assert_eq!(
-            back.det.exact().unwrap().index().layout_digest(),
-            live.det.exact().unwrap().index().layout_digest()
-        );
         // Re-encoding must be byte-equal — the snapshot codec is
         // deterministic.
         assert_eq!(encode_snapshot(&config, &back, 7), body);
@@ -391,7 +268,7 @@ mod tests {
         let scheme = TopTalkers;
         let config = sketch_config();
         let live = build_live(&scheme, &config);
-        assert_eq!(live.det.tier_name(), "sketch");
+        assert_eq!(live.det.tier().tier_name(), "sketch");
         let body = encode_snapshot(&config, &live, 3);
         let (back, epoch) = decode_snapshot(&scheme, &config, &body).unwrap();
         assert_eq!(epoch, 3);
@@ -401,8 +278,8 @@ mod tests {
         // The rebuilt ANN matcher must carry the same candidates (it is
         // derived from signatures, not persisted).
         assert_eq!(
-            back.det.sketch().unwrap().matcher().len(),
-            live.det.sketch().unwrap().matcher().len()
+            back.det.matcher().memory_entries(),
+            live.det.matcher().memory_entries()
         );
     }
 
@@ -443,6 +320,30 @@ mod tests {
             decode_snapshot(&scheme, &rebanded, &body),
             Err(ServeError::Config(_))
         ));
+    }
+
+    /// Byte-compat pins for existing data directories: the FNV-1a of the
+    /// snapshot bytes and the state digest of a fixed seeded run, on both
+    /// tiers. The run is three windows in, so the exact tier's postings
+    /// layout has been patched rather than freshly built. A changed
+    /// constant means snapshots written by earlier builds no longer load.
+    #[test]
+    fn snapshot_bytes_and_digest_are_pinned() {
+        let scheme = TopTalkers;
+        for (config, want_bytes, want_digest) in [
+            (test_config(), 0xb864_7d68_8283_e4e9, 0x9419_796f_7159_e230),
+            (
+                sketch_config(),
+                0xe92d_4b0e_9390_d1ce,
+                0x1598_d026_f2db_3f87,
+            ),
+        ] {
+            let mut live = build_live(&scheme, &config);
+            let _ = live.advance_once(&SHel);
+            let body = encode_snapshot(&config, &live, 5);
+            let got = (persist::fnv1a(&body), live.state_digest());
+            assert_eq!(got, (want_bytes, want_digest), "{}", config.tier.name());
+        }
     }
 
     #[test]

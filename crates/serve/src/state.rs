@@ -2,38 +2,38 @@
 //!
 //! [`LiveState`] bundles everything the daemon mutates between durable
 //! records: the sliding windower, the combined masquerade/anomaly
-//! detector (either tier, behind [`TierDetector`]), the frozen label
-//! space and the monotone counters. It is deliberately free of any I/O
-//! so the chaos scenarios and proptests can drive the exact production
-//! state machine without a socket.
+//! detector (one [`TieredMasquerade`] over whichever tier and matcher
+//! [`build_detector`] picked), the frozen label space and the monotone
+//! counters. It is deliberately free of any I/O so the chaos scenarios
+//! and proptests can drive the exact production state machine without a
+//! socket.
 //!
-//! [`LiveState::state_digest`] is the bit-identity oracle. On the exact
-//! tier it folds the graph, both signature buffers, the physical index
-//! layout and the full windower state into one FNV-1a digest. On the
-//! sketch tier it folds the tier's deterministic state encoding (which
-//! covers the sketches *and* the current signatures) plus the previous
-//! signature buffer — the ANN index is derived from signatures and
+//! [`LiveState::state_digest`] is the bit-identity oracle. It folds the
+//! tier's durable state (exact: graph and current signatures; sketch:
+//! the sketches, which embed the current signatures), the previous
+//! signature buffer and the full windower state into one FNV-1a digest,
+//! then the matcher's history-dependent state: the exact tier's physical
+//! postings layout. The LSH front is derived from signatures and
 //! [`AnnConfig`](comsig_eval::ann::AnnConfig), so it never enters the
-//! digest. An uninterrupted run
-//! and a kill-and-resume run must produce equal digests at every window
-//! boundary — the WAL records the expected digest per advance and
-//! recovery verifies it.
+//! digest. An uninterrupted run and a kill-and-resume run must produce
+//! equal digests at every window boundary — the WAL records the expected
+//! digest per advance and recovery verifies it.
 
 use comsig_apps::anomaly::AnomalyScore;
 use comsig_apps::masquerade::DetectorConfig;
-use comsig_apps::stream::{SketchMasquerade, StreamDetection, StreamingMasquerade};
+use comsig_apps::stream::TieredMasquerade;
 use comsig_core::distance::BatchDistance;
-use comsig_core::persist::{self, Enc, Fnv};
-use comsig_core::pipeline::DeltaScheme;
-use comsig_core::{Signature, SignatureSet, TierMemory};
-use comsig_eval::ann::SubjectMatcher;
-use comsig_eval::index::MatchWorkspace;
-use comsig_eval::ranking::Ranking;
+use comsig_core::persist::{self, Dec, Enc, Fnv};
+use comsig_core::pipeline::{DeltaScheme, SignaturePipeline};
+use comsig_core::SignatureTier;
+use comsig_eval::ann::{AnnIndex, SubjectMatcher};
+use comsig_eval::index::{IndexLayout, PostingsIndex};
 use comsig_graph::{
     CommGraph, EdgeEvent, Interner, NodeId, ShardPlan, SlidingWindower, WindowDelta,
 };
+use comsig_sketch::tier::SketchTier;
 
-use crate::config::{ServeConfig, ServeError};
+use crate::config::{ServeConfig, ServeError, TierSpec};
 
 /// The query-visible residue of the most recent window advance: the
 /// masquerade verdict and the anomaly scores for the last window pair.
@@ -59,114 +59,6 @@ pub struct LastWindow {
     pub scores: Vec<AnomalyScore>,
 }
 
-/// The combined detector on whichever tier the service is configured
-/// for: the exact pipeline + postings index, or the sketch tier + ANN
-/// index. Both variants expose the same advance/query surface; the
-/// durable codecs branch on the variant because the persisted state
-/// shapes differ entirely.
-pub enum TierDetector<'a> {
-    /// Exact tier: materialised window graph, per-advance patched
-    /// postings index. Both variants are boxed so the enum stays
-    /// pointer-sized: each tier carries large inline workspaces.
-    Exact(Box<StreamingMasquerade<'a, dyn DeltaScheme + 'a>>),
-    /// Sketch tier: bounded sketch state, LSH-fronted matcher.
-    Sketch(Box<SketchMasquerade>),
-}
-
-impl<'a> TierDetector<'a> {
-    /// The tier's stable name (`"exact"` / `"sketch"`).
-    #[must_use]
-    pub fn tier_name(&self) -> &'static str {
-        match self {
-            TierDetector::Exact(_) => "exact",
-            TierDetector::Sketch(_) => "sketch",
-        }
-    }
-
-    /// The current window's signatures.
-    #[must_use]
-    pub fn signatures(&self) -> &SignatureSet {
-        match self {
-            TierDetector::Exact(det) => det.signatures(),
-            TierDetector::Sketch(det) => det.signatures(),
-        }
-    }
-
-    /// The previous window's signatures (the double buffer's back side).
-    #[must_use]
-    pub fn prev_signatures(&self) -> &SignatureSet {
-        match self {
-            TierDetector::Exact(det) => det.prev_signatures(),
-            TierDetector::Sketch(det) => det.prev_signatures(),
-        }
-    }
-
-    /// The exact-tier detector, when the service runs on it.
-    #[must_use]
-    pub fn exact(&self) -> Option<&StreamingMasquerade<'a, dyn DeltaScheme + 'a>> {
-        match self {
-            TierDetector::Exact(det) => Some(det),
-            TierDetector::Sketch(_) => None,
-        }
-    }
-
-    /// The sketch-tier detector, when the service runs on it.
-    #[must_use]
-    pub fn sketch(&self) -> Option<&SketchMasquerade> {
-        match self {
-            TierDetector::Exact(_) => None,
-            TierDetector::Sketch(det) => Some(det),
-        }
-    }
-
-    /// The tier's resident-state accounting plus the matcher's entry
-    /// count — the service's memory story, surfaced by `status`.
-    #[must_use]
-    pub fn memory(&self) -> (TierMemory, usize) {
-        match self {
-            TierDetector::Exact(det) => (det.tier_memory(), det.index().memory_entries()),
-            TierDetector::Sketch(det) => (det.tier_memory(), det.matcher().memory_entries()),
-        }
-    }
-
-    /// Advances one window on whichever tier is live.
-    pub fn advance_with_anomaly(
-        &mut self,
-        dist: &dyn BatchDistance,
-        delta: &WindowDelta,
-    ) -> (StreamDetection, Vec<AnomalyScore>) {
-        match self {
-            TierDetector::Exact(det) => det.advance_with_anomaly(dist, delta),
-            TierDetector::Sketch(det) => det.advance_with_anomaly(dist, delta),
-        }
-    }
-
-    /// Ranks `sig` against the maintained candidates, keeping the best
-    /// `top`. Exact tier: the postings-index sweep. Sketch tier: the
-    /// LSH-fronted matcher — survivors re-scored exactly, missed
-    /// candidates at distance 1.0 (the documented one-sided contract).
-    #[must_use]
-    pub fn rank_top_l(&self, dist: &dyn BatchDistance, sig: &Signature, top: usize) -> Ranking {
-        match self {
-            TierDetector::Exact(det) => {
-                det.index()
-                    .rank_top_l_with(dist, sig, top, &mut MatchWorkspace::new())
-            }
-            TierDetector::Sketch(det) => {
-                let mut entries = Vec::new();
-                det.matcher().rank_top_l_into(
-                    dist,
-                    sig,
-                    top,
-                    &mut MatchWorkspace::new(),
-                    &mut entries,
-                );
-                Ranking::from_sorted(entries)
-            }
-        }
-    }
-}
-
 /// The full in-memory state of the service between durable records.
 pub struct LiveState<'a> {
     /// Frozen label space: interned once at genesis from the seed
@@ -177,7 +69,7 @@ pub struct LiveState<'a> {
     /// The sliding windower consuming accepted events.
     pub windower: SlidingWindower,
     /// The combined detector on the configured tier.
-    pub det: TierDetector<'a>,
+    pub det: TieredMasquerade<'a>,
     /// Windows advanced since genesis.
     pub windows: u64,
     /// Events accepted into the windower since genesis (pre-validation
@@ -209,10 +101,9 @@ pub fn subject_sources(events: &[EdgeEvent]) -> Vec<NodeId> {
 
 impl<'a> LiveState<'a> {
     /// The genesis state: an empty first window over the frozen label
-    /// space, deterministic in `(config, interner, subjects)`. The
-    /// configured tier picks the detector; `scheme` drives the exact
-    /// tier and is ignored by the sketch tier (which approximates the
-    /// scheme named by `config.scheme_spec`).
+    /// space, deterministic in `(config, interner, subjects)`. `scheme`
+    /// drives the exact tier and is ignored by the sketch tier (which
+    /// approximates the scheme named by `config.scheme_spec`).
     ///
     /// # Errors
     /// [`ServeError::Config`] when the sketch tier is configured with a
@@ -223,30 +114,18 @@ impl<'a> LiveState<'a> {
         interner: Interner,
         subjects: Vec<NodeId>,
     ) -> Result<Self, ServeError> {
-        let windower = SlidingWindower::new(config.start, config.width, config.slide);
-        let det = if config.is_sketch() {
-            TierDetector::Sketch(Box::new(SketchMasquerade::new_sketch(
-                config.sketch_scheme()?,
-                config.sketch,
-                &subjects,
-                interner.len(),
-                detector_config(config),
-                config.ann,
-                plan_of(config),
-            )))
-        } else {
-            TierDetector::Exact(Box::new(StreamingMasquerade::with_plan(
-                scheme,
-                CommGraph::empty(interner.len()),
-                &subjects,
-                detector_config(config),
-                plan_of(config),
-            )))
-        };
+        let det = build_detector(
+            scheme,
+            config,
+            Origin::Genesis {
+                subjects: &subjects,
+                num_nodes: interner.len(),
+            },
+        )?;
         Ok(LiveState {
             interner,
             subjects,
-            windower,
+            windower: SlidingWindower::new(config.start, config.width, config.slide),
             det,
             windows: 0,
             ingested_events: 0,
@@ -292,33 +171,120 @@ impl<'a> LiveState<'a> {
         delta
     }
 
-    /// The bit-identity oracle: an FNV-1a digest over the complete
-    /// tier-specific durable state plus the windower and the monotone
-    /// counters. Equal digests mean equal service state, byte for byte.
+    /// The bit-identity oracle: an FNV-1a digest over the tier's durable
+    /// state, the previous signatures and the windower, then the
+    /// matcher's history-dependent state and the monotone counters.
+    /// Equal digests mean equal service state, byte for byte.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
         let mut enc = Enc::new();
+        self.det.tier().encode_state(&mut enc);
+        persist::encode_signature_set(&mut enc, self.det.prev_signatures());
+        persist::encode_windower(&mut enc, &self.windower.export_state());
         let mut h = Fnv::new();
-        match &self.det {
-            TierDetector::Exact(det) => {
-                persist::encode_graph(&mut enc, det.graph());
-                persist::encode_signature_set(&mut enc, det.signatures());
-                persist::encode_signature_set(&mut enc, det.prev_signatures());
-                persist::encode_windower(&mut enc, &self.windower.export_state());
-                h.write(&enc.into_bytes());
-                h.write_u64(det.index().layout_digest());
-            }
-            TierDetector::Sketch(det) => {
-                det.tier().encode_state(&mut enc);
-                persist::encode_signature_set(&mut enc, det.prev_signatures());
-                persist::encode_windower(&mut enc, &self.windower.export_state());
-                h.write(&enc.into_bytes());
-            }
-        }
+        h.write(&enc.into_bytes());
+        self.det.matcher().digest_state(&mut h);
         h.write_u64(self.windows);
         h.write_u64(self.ingested_events);
         h.finish()
     }
+}
+
+/// Where [`build_detector`] takes its tier and matcher from.
+pub enum Origin<'s, 'b> {
+    /// A fresh tier over an empty first window of `num_nodes` nodes.
+    Genesis {
+        /// The fixed subject population.
+        subjects: &'s [NodeId],
+        /// The size of the frozen node space.
+        num_nodes: usize,
+    },
+    /// A snapshot body positioned just past the tier tag: tier state,
+    /// previous signatures, matcher state, as
+    /// [`encode_snapshot`](crate::snapshot::encode_snapshot) wrote them.
+    Snapshot(&'s mut Dec<'b>),
+}
+
+/// Builds or decodes the configured (tier, matcher) pair and assembles
+/// the detector over it — the one place above the tier seam that knows
+/// which tiers exist. Serve genesis, snapshot recovery and
+/// `comsig stream` all construct through it.
+///
+/// * **exact**: a [`SignaturePipeline`] and a [`PostingsIndex`]. The
+///   index's patched layout is history-dependent, so a snapshot carries
+///   it and resume restores it verbatim; a cold rebuild would change the
+///   state digest.
+/// * **sketch**: a [`SketchTier`] and an [`AnnIndex`]. The LSH front is a
+///   pure function of the signatures and `config.ann`, so it is always
+///   rebuilt.
+///
+/// # Errors
+/// [`ServeError::Config`] for a non-sketchable scheme on the sketch
+/// tier; [`ServeError::Corrupt`] for snapshot state that does not decode,
+/// disagrees with the stamped sketch sizing, or whose parts are
+/// inconsistent with each other.
+pub fn build_detector<'a>(
+    scheme: &'a dyn DeltaScheme,
+    config: &ServeConfig,
+    origin: Origin<'_, '_>,
+) -> Result<TieredMasquerade<'a>, ServeError> {
+    let cfg = detector_config(config);
+    let plan = plan_of(config);
+    let (tier, matcher, prev): (Box<dyn SignatureTier + 'a>, Box<dyn SubjectMatcher>, _) =
+        match (config.tier, origin) {
+            (
+                TierSpec::Exact,
+                Origin::Genesis {
+                    subjects,
+                    num_nodes,
+                },
+            ) => {
+                let graph = CommGraph::empty(num_nodes);
+                let pipeline = SignaturePipeline::with_plan(scheme, graph, subjects, cfg.k, plan);
+                let current = pipeline.signatures().clone();
+                let index = PostingsIndex::build_owned(current.clone());
+                (Box::new(pipeline), Box::new(index), current)
+            }
+            (TierSpec::Exact, Origin::Snapshot(dec)) => {
+                let graph = persist::decode_graph(dec)?;
+                let current = persist::decode_signature_set(dec)?;
+                let prev = persist::decode_signature_set(dec)?;
+                let layout = IndexLayout::decode(dec)?;
+                let index = PostingsIndex::from_layout(current.clone(), layout)
+                    .map_err(ServeError::Corrupt)?;
+                let pipeline = SignaturePipeline::resume(scheme, graph, current, cfg.k, plan)
+                    .map_err(ServeError::Corrupt)?;
+                (Box::new(pipeline), Box::new(index), prev)
+            }
+            (
+                TierSpec::Sketch,
+                Origin::Genesis {
+                    subjects,
+                    num_nodes,
+                },
+            ) => {
+                let sketch = config.sketch_scheme()?;
+                let tier = SketchTier::new(sketch, config.sketch, subjects, cfg.k, num_nodes);
+                let ann = AnnIndex::build(tier.signatures(), config.ann);
+                let current = tier.signatures().clone();
+                (Box::new(tier), Box::new(ann), current)
+            }
+            (TierSpec::Sketch, Origin::Snapshot(dec)) => {
+                let tier = SketchTier::decode_state(dec)?;
+                if tier.k() != config.k
+                    || tier.stream().config() != config.sketch
+                    || tier.scheme() != config.sketch_scheme()?
+                {
+                    return Err(ServeError::Corrupt(
+                        "snapshot sketch state disagrees with the stamped configuration".to_owned(),
+                    ));
+                }
+                let prev = persist::decode_signature_set(dec)?;
+                let ann = AnnIndex::build(tier.signatures(), config.ann);
+                (Box::new(tier), Box::new(ann), prev)
+            }
+        };
+    TieredMasquerade::from_parts(tier, matcher, cfg, plan, prev).map_err(ServeError::Corrupt)
 }
 
 /// The Algorithm 1 knobs carried by the service configuration.
@@ -346,8 +312,6 @@ mod tests {
     use super::*;
     use comsig_core::distance::SHel;
     use comsig_core::scheme::TopTalkers;
-
-    use crate::config::TierSpec;
 
     fn seeded() -> (Interner, Vec<EdgeEvent>) {
         let mut interner = Interner::new();
@@ -457,7 +421,7 @@ mod tests {
         let mut live = LiveState::genesis(&scheme, &config, interner, subjects).unwrap();
         live.push_events(&events);
         let _ = live.advance_once(&SHel);
-        assert_eq!(live.det.tier_name(), "sketch");
+        assert_eq!(live.det.tier().tier_name(), "sketch");
         let v = live.subjects[0];
         let sig = live.det.signatures().get(v).expect("subject has signature");
         let ranking = live.det.rank_top_l(&SHel, sig, 3);
@@ -467,8 +431,8 @@ mod tests {
         // (every band collides).
         assert_eq!(ranking.entries()[0].0, v);
         assert_eq!(ranking.entries()[0].1, 0.0);
-        let (mem, matcher_entries) = live.det.memory();
+        let mem = live.det.tier_memory();
         assert!(mem.state_entries > 0 && mem.state_bytes > 0);
-        assert!(matcher_entries > 0);
+        assert!(live.det.matcher().memory_entries() > 0);
     }
 }

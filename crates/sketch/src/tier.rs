@@ -62,13 +62,13 @@ impl SketchScheme {
         }
     }
 
-    /// Parses a CLI scheme spec into the sketchable subset. Specs with
-    /// parameters (e.g. `ut:novel=0.5`) are sketchable by base name; RWR
-    /// variants are not.
+    /// Parses a CLI scheme spec into the sketchable subset: `tt`, and
+    /// `ut` with its default ratio scaling. The other UT scalings, any
+    /// argument on `tt`, and RWR variants are not sketchable.
     pub fn parse(spec: &str) -> Option<Self> {
-        match spec.split(':').next().unwrap_or("") {
+        match spec {
             "tt" => Some(SketchScheme::TopTalkers),
-            "ut" => Some(SketchScheme::UnexpectedTalkers),
+            "ut" | "ut:ratio" => Some(SketchScheme::UnexpectedTalkers),
             _ => None,
         }
     }
@@ -159,95 +159,10 @@ impl SketchTier {
         &self.degraded
     }
 
-    /// Poisoned or phantom changes dropped so far (including ones whose
-    /// source was not a subject, which degrade nobody).
-    pub fn dropped_changes(&self) -> u64 {
-        self.dropped_changes
-    }
-
     fn extract(&self, v: NodeId) -> Signature {
         match self.scheme {
             SketchScheme::TopTalkers => self.stream.tt_signature(v, self.k),
             SketchScheme::UnexpectedTalkers => self.stream.ut_signature(v, self.k),
-        }
-    }
-
-    /// Serialises the complete tier state deterministically (sorted
-    /// iteration everywhere): equal states encode to equal bytes, and
-    /// [`decode_state`](Self::decode_state) → `encode_state` round-trips
-    /// byte-identically — the property the serve snapshot digest relies
-    /// on.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        let cfg = self.stream.cfg;
-        enc.u64(cfg.cm_width as u64);
-        enc.u64(cfg.cm_depth as u64);
-        enc.u64(cfg.candidate_budget as u64);
-        enc.u64(cfg.fm_bitmaps as u64);
-        enc.u64(cfg.seed);
-        enc.u64(cfg.indeg_cells as u64);
-        enc.u64(cfg.indeg_depth as u64);
-        enc.u8(match self.scheme {
-            SketchScheme::TopTalkers => 0,
-            SketchScheme::UnexpectedTalkers => 1,
-        });
-        enc.u64(self.k as u64);
-        enc.u64(self.num_nodes as u64);
-        enc.u64(self.windows);
-        enc.u64(self.dropped_changes);
-        encode_signature_set(enc, &self.set);
-
-        let mut ids: Vec<NodeId> = self.stream.sources.keys().copied().collect();
-        ids.sort_unstable();
-        enc.len(ids.len());
-        for id in ids {
-            let s = &self.stream.sources[&id];
-            enc.u32(id.raw());
-            enc.f64(s.total);
-            enc.f64(s.cm.total());
-            enc.len(s.cm.counters().len());
-            for &c in s.cm.counters() {
-                enc.f64(c);
-            }
-            let mut cands: Vec<(NodeId, f64)> =
-                s.candidates.iter().map(|(&d, &e)| (d, e)).collect();
-            cands.sort_unstable_by_key(|c| c.0);
-            enc.len(cands.len());
-            for (d, e) in cands {
-                enc.u32(d.raw());
-                enc.f64(e);
-            }
-        }
-
-        match &self.stream.in_degree {
-            InDegree::PerDst(map) => {
-                enc.u8(0);
-                let mut dsts: Vec<NodeId> = map.keys().copied().collect();
-                dsts.sort_unstable();
-                enc.len(dsts.len());
-                for d in dsts {
-                    enc.u32(d.raw());
-                    let fm = &map[&d];
-                    enc.len(fm.bitmaps().len());
-                    for &b in fm.bitmaps() {
-                        enc.u64(b);
-                    }
-                }
-            }
-            InDegree::Bounded(table) => {
-                enc.u8(1);
-                enc.len(table.cells().len());
-                for cell in table.cells() {
-                    enc.len(cell.bitmaps().len());
-                    for &b in cell.bitmaps() {
-                        enc.u64(b);
-                    }
-                }
-            }
-        }
-
-        enc.len(self.healing.len());
-        for &v in &self.healing {
-            enc.u32(v.raw());
         }
     }
 
@@ -496,8 +411,89 @@ impl SignatureTier for SketchTier {
         }
     }
 
-    fn is_exact(&self) -> bool {
-        false
+    /// Poisoned or phantom changes dropped so far (including ones whose
+    /// source was not a subject, which degrade nobody).
+    fn dropped_changes(&self) -> u64 {
+        self.dropped_changes
+    }
+
+    /// Serialises the complete tier state deterministically (sorted
+    /// iteration everywhere): equal states encode to equal bytes, and
+    /// [`decode_state`](Self::decode_state) → `encode_state` round-trips
+    /// byte-identically — the property the serve snapshot digest relies
+    /// on.
+    fn encode_state(&self, enc: &mut Enc) {
+        let cfg = self.stream.cfg;
+        enc.u64(cfg.cm_width as u64);
+        enc.u64(cfg.cm_depth as u64);
+        enc.u64(cfg.candidate_budget as u64);
+        enc.u64(cfg.fm_bitmaps as u64);
+        enc.u64(cfg.seed);
+        enc.u64(cfg.indeg_cells as u64);
+        enc.u64(cfg.indeg_depth as u64);
+        enc.u8(match self.scheme {
+            SketchScheme::TopTalkers => 0,
+            SketchScheme::UnexpectedTalkers => 1,
+        });
+        enc.u64(self.k as u64);
+        enc.u64(self.num_nodes as u64);
+        enc.u64(self.windows);
+        enc.u64(self.dropped_changes);
+        encode_signature_set(enc, &self.set);
+
+        let mut ids: Vec<NodeId> = self.stream.sources.keys().copied().collect();
+        ids.sort_unstable();
+        enc.len(ids.len());
+        for id in ids {
+            let s = &self.stream.sources[&id];
+            enc.u32(id.raw());
+            enc.f64(s.total);
+            enc.f64(s.cm.total());
+            enc.len(s.cm.counters().len());
+            for &c in s.cm.counters() {
+                enc.f64(c);
+            }
+            let mut cands: Vec<(NodeId, f64)> =
+                s.candidates.iter().map(|(&d, &e)| (d, e)).collect();
+            cands.sort_unstable_by_key(|c| c.0);
+            enc.len(cands.len());
+            for (d, e) in cands {
+                enc.u32(d.raw());
+                enc.f64(e);
+            }
+        }
+
+        match &self.stream.in_degree {
+            InDegree::PerDst(map) => {
+                enc.u8(0);
+                let mut dsts: Vec<NodeId> = map.keys().copied().collect();
+                dsts.sort_unstable();
+                enc.len(dsts.len());
+                for d in dsts {
+                    enc.u32(d.raw());
+                    let fm = &map[&d];
+                    enc.len(fm.bitmaps().len());
+                    for &b in fm.bitmaps() {
+                        enc.u64(b);
+                    }
+                }
+            }
+            InDegree::Bounded(table) => {
+                enc.u8(1);
+                enc.len(table.cells().len());
+                for cell in table.cells() {
+                    enc.len(cell.bitmaps().len());
+                    for &b in cell.bitmaps() {
+                        enc.u64(b);
+                    }
+                }
+            }
+        }
+
+        enc.len(self.healing.len());
+        for &v in &self.healing {
+            enc.u32(v.raw());
+        }
     }
 }
 
@@ -571,7 +567,7 @@ mod tests {
             }
         }
         assert!(sketch.degraded().is_empty());
-        assert!(!SignatureTier::is_exact(&sketch));
+        assert_eq!(sketch.dropped_changes(), 0);
         assert_eq!(sketch.tier_name(), "sketch");
         let mem = SignatureTier::memory(&sketch);
         assert!(mem.state_entries > 0 && mem.state_bytes > mem.state_entries);
@@ -736,10 +732,20 @@ mod tests {
     fn scheme_spec_parsing() {
         assert_eq!(SketchScheme::parse("tt"), Some(SketchScheme::TopTalkers));
         assert_eq!(
-            SketchScheme::parse("ut:novel=0.5"),
+            SketchScheme::parse("ut:ratio"),
             Some(SketchScheme::UnexpectedTalkers)
         );
-        assert_eq!(SketchScheme::parse("rwr:h=2,c=0.1"), None);
+        // Only ratio-UT is sketched: other scalings and arguments are
+        // rejected rather than silently approximated as ratio-UT.
+        for spec in [
+            "ut:tfidf",
+            "ut:log",
+            "ut:novel=0.5",
+            "tt:x",
+            "rwr:h=2,c=0.1",
+        ] {
+            assert_eq!(SketchScheme::parse(spec), None, "{spec}");
+        }
         assert_eq!(SketchScheme::TopTalkers.name(), "tt");
     }
 }
