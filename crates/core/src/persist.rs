@@ -10,7 +10,8 @@
 //! 2. **Binary codec** — [`Enc`]/[`Dec`], a little-endian length-checked
 //!    byte codec. Every [`Dec`] method returns a [`CodecError`] instead
 //!    of panicking: decoding runs on the recovery path, where corrupt
-//!    input must degrade into a typed error.
+//!    input must degrade into a typed error. An [`Enc`] can also hash
+//!    instead of buffer, so a state digest costs no copy of the state.
 //! 3. **Atomic containers and WAL framing** — [`write_atomic`] writes
 //!    `magic + digest + body` to a `.tmp` sibling, fsyncs, and renames
 //!    into place, so a file is either absent, the old version, or
@@ -29,7 +30,9 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 
-use comsig_graph::{CommGraph, Edge, EdgeChange, NodeId, WindowDelta, WindowerState};
+use comsig_graph::{
+    CommGraph, Edge, EdgeChange, NodeId, SlidingWindower, WindowDelta, WindowerState,
+};
 
 use crate::signature::{Signature, SignatureSet};
 
@@ -51,6 +54,7 @@ impl Fnv {
     }
 
     /// Folds raw bytes into the digest.
+    #[inline]
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
@@ -123,34 +127,74 @@ impl From<String> for CodecError {
     }
 }
 
+/// Where an [`Enc`] puts its bytes.
+#[derive(Debug)]
+enum Sink {
+    /// Appended to an owned buffer.
+    Buf(Vec<u8>),
+    /// Folded into an FNV-1a digest and dropped.
+    Hash(Fnv),
+}
+
+impl Default for Sink {
+    fn default() -> Self {
+        Sink::Buf(Vec::new())
+    }
+}
+
 /// Little-endian binary encoder. Equal values always encode to equal
 /// bytes — the property the round-trip proptests and the recovery
 /// digest oracle rely on.
+///
+/// An encoder either buffers its bytes ([`new`](Self::new)) or folds
+/// them straight into FNV-1a ([`hashing`](Self::hashing)). FNV-1a
+/// consumes bytes in order, so a hashing encoder's
+/// [`into_digest`](Self::into_digest) equals [`fnv1a`] over the bytes a
+/// buffering encoder would have produced, without holding them.
 #[derive(Debug, Default)]
 pub struct Enc {
-    buf: Vec<u8>,
+    sink: Sink,
+    written: usize,
 }
 
 impl Enc {
-    /// A fresh, empty encoder.
+    /// A fresh, empty, buffering encoder.
     #[must_use]
     pub fn new() -> Self {
         Enc::default()
     }
 
+    /// A fresh encoder that digests its bytes instead of keeping them.
+    #[must_use]
+    pub fn hashing() -> Self {
+        Enc {
+            sink: Sink::Hash(Fnv::new()),
+            written: 0,
+        }
+    }
+
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.written += bytes.len();
+        match &mut self.sink {
+            Sink::Buf(buf) => buf.extend_from_slice(bytes),
+            Sink::Hash(h) => h.write(bytes),
+        }
+    }
+
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
 
     /// Appends a `u32`, little-endian.
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Appends a `u64`, little-endian.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Appends a `usize` as a `u64`.
@@ -166,25 +210,44 @@ impl Enc {
     /// Appends a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
         self.len(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+        self.put(s.as_bytes());
     }
 
     /// Appends length-prefixed raw bytes.
     pub fn bytes(&mut self, b: &[u8]) {
         self.len(b.len());
-        self.buf.extend_from_slice(b);
+        self.put(b);
     }
 
-    /// The encoded bytes.
+    /// The encoded bytes. A hashing encoder keeps none and returns an
+    /// empty vector.
     #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+        match self.sink {
+            Sink::Buf(buf) => buf,
+            Sink::Hash(_) => Vec::new(),
+        }
     }
 
-    /// Bytes written so far.
+    /// The FNV-1a state over every byte written, ready to fold in more:
+    /// its [`finish`](Fnv::finish) is [`fnv1a`] of the encoded bytes, in
+    /// either mode.
+    #[must_use]
+    pub fn into_digest(self) -> Fnv {
+        match self.sink {
+            Sink::Buf(buf) => {
+                let mut h = Fnv::new();
+                h.write(&buf);
+                h
+            }
+            Sink::Hash(h) => h,
+        }
+    }
+
+    /// Bytes written so far, in either mode.
     #[must_use]
     pub fn byte_len(&self) -> usize {
-        self.buf.len()
+        self.written
     }
 }
 
@@ -741,30 +804,73 @@ pub fn decode_signature_set(dec: &mut Dec<'_>) -> Result<SignatureSet, CodecErro
 /// Encodes a [`WindowerState`] (already canonically sorted by
 /// construction).
 pub fn encode_windower(enc: &mut Enc, state: &WindowerState) {
-    enc.u64(state.width);
-    enc.u64(state.slide);
-    enc.u64(state.next_start);
-    enc.u64(state.seq);
-    enc.u64(state.invalid_events);
-    enc.u64(state.late_events);
-    enc.u64(state.gap_events);
-    enc.len(state.pending.len());
-    for &(time, seq, src, dst, w) in &state.pending {
+    let header = [
+        state.width,
+        state.slide,
+        state.next_start,
+        state.seq,
+        state.invalid_events,
+        state.late_events,
+        state.gap_events,
+    ];
+    encode_windower_parts(
+        enc,
+        header,
+        state.pending.iter().copied(),
+        state.active.iter().copied(),
+        state
+            .pair_events
+            .iter()
+            .map(|(pair, events)| (*pair, events.as_slice())),
+        state.agg.iter().copied(),
+    );
+}
+
+/// Encodes a live windower to exactly the bytes [`encode_windower`]
+/// writes for its [`export_state`](SlidingWindower::export_state), but
+/// through a borrowed [`view`](SlidingWindower::view), without copying
+/// the windower's event lists.
+pub fn encode_live_windower(enc: &mut Enc, windower: &SlidingWindower) {
+    let view = windower.view();
+    encode_windower_parts(
+        enc,
+        view.header(),
+        view.pending(),
+        view.active(),
+        view.pair_events(),
+        view.agg(),
+    );
+}
+
+/// The windower byte format, shared by both windower encoders.
+fn encode_windower_parts<'a>(
+    enc: &mut Enc,
+    header: [u64; 7],
+    pending: impl ExactSizeIterator<Item = (u64, u64, NodeId, NodeId, f64)>,
+    active: impl ExactSizeIterator<Item = (u64, u64, NodeId, NodeId)>,
+    pair_events: impl ExactSizeIterator<Item = ((NodeId, NodeId), &'a [(u64, u64, f64)])>,
+    agg: impl ExactSizeIterator<Item = ((NodeId, NodeId), f64)>,
+) {
+    for v in header {
+        enc.u64(v);
+    }
+    enc.len(pending.len());
+    for (time, seq, src, dst, w) in pending {
         enc.u64(time);
         enc.u64(seq);
         enc.u32(src.raw());
         enc.u32(dst.raw());
         enc.f64(w);
     }
-    enc.len(state.active.len());
-    for &(time, seq, src, dst) in &state.active {
+    enc.len(active.len());
+    for (time, seq, src, dst) in active {
         enc.u64(time);
         enc.u64(seq);
         enc.u32(src.raw());
         enc.u32(dst.raw());
     }
-    enc.len(state.pair_events.len());
-    for ((src, dst), events) in &state.pair_events {
+    enc.len(pair_events.len());
+    for ((src, dst), events) in pair_events {
         enc.u32(src.raw());
         enc.u32(dst.raw());
         enc.len(events.len());
@@ -774,8 +880,8 @@ pub fn encode_windower(enc: &mut Enc, state: &WindowerState) {
             enc.f64(w);
         }
     }
-    enc.len(state.agg.len());
-    for &((src, dst), w) in &state.agg {
+    enc.len(agg.len());
+    for ((src, dst), w) in agg {
         enc.u32(src.raw());
         enc.u32(dst.raw());
         enc.f64(w);
@@ -1108,5 +1214,103 @@ mod tests {
         assert_eq!(back, state);
         let restored = SlidingWindower::from_state(back).unwrap();
         assert_eq!(restored.export_state(), state);
+    }
+    /// A windower mid-stream: overlapping windows, active events on two
+    /// pairs, one pair with several events, one event still pending and
+    /// one counted late.
+    fn mid_stream_windower() -> SlidingWindower {
+        let mut w = SlidingWindower::new(0, 10, 5);
+        for (time, src, dst, weight) in [
+            (1u64, 0, 1, 0.5),
+            (6, 1, 2, 0.25),
+            (7, 0, 1, 0.1),
+            (3, 0, 1, 0.2),
+            (12, 0, 1, 2.0),
+            (31, 2, 0, 1.5),
+        ] {
+            w.push(EdgeEvent {
+                time,
+                src: n(src),
+                dst: n(dst),
+                weight,
+            });
+        }
+        let _ = w.advance();
+        let _ = w.advance();
+        // Too late for any future window: counted, not buffered.
+        assert!(!w.push(EdgeEvent {
+            time: 2,
+            src: n(0),
+            dst: n(1),
+            weight: 1.0,
+        }));
+        w
+    }
+
+    /// The borrowed live encoding writes exactly the bytes of the
+    /// exported image's encoding.
+    #[test]
+    fn live_windower_encodes_like_its_export() {
+        let mut w = mid_stream_windower();
+        for _ in 0..4 {
+            let mut live = Enc::new();
+            encode_live_windower(&mut live, &w);
+            let mut exported = Enc::new();
+            encode_windower(&mut exported, &w.export_state());
+            assert_eq!(live.into_bytes(), exported.into_bytes());
+            let _ = w.advance();
+        }
+    }
+
+    /// Encodes through `encode` twice, buffered and hashing: the hashing
+    /// encoder must count the same bytes and digest exactly them.
+    fn assert_hashing_matches_buffered(encode: impl Fn(&mut Enc)) {
+        let mut buffered = Enc::new();
+        encode(&mut buffered);
+        let mut hashing = Enc::hashing();
+        encode(&mut hashing);
+        assert_eq!(hashing.byte_len(), buffered.byte_len());
+        let bytes = buffered.into_bytes();
+        assert!(!bytes.is_empty());
+        assert_eq!(hashing.into_digest().finish(), fnv1a(&bytes));
+    }
+
+    #[test]
+    fn hashing_encoder_digests_the_buffered_bytes() {
+        let mut b = GraphBuilder::new();
+        b.add_event(n(0), n(1), 0.1);
+        b.add_event(n(0), n(1), 0.2);
+        b.add_event(n(2), n(0), 1.5);
+        let g = b.build(3);
+        assert_hashing_matches_buffered(|enc| encode_graph(enc, &g));
+
+        let set = SignatureSet::new(
+            vec![n(0), n(2)],
+            vec![
+                Signature::top_k(n(0), vec![(n(1), 1.0), (n(3), 0.5)], 2),
+                Signature::empty(),
+            ],
+        );
+        assert_hashing_matches_buffered(|enc| encode_signature_set(enc, &set));
+
+        let mut w = mid_stream_windower();
+        assert_hashing_matches_buffered(|enc| encode_windower(enc, &w.export_state()));
+        assert_hashing_matches_buffered(|enc| encode_live_windower(enc, &w));
+        let delta = w.advance();
+        assert!(!delta.is_empty());
+        assert_hashing_matches_buffered(|enc| encode_delta(enc, &delta));
+
+        // The primitives and their mix, and a hashing encoder keeps no
+        // bytes.
+        assert_hashing_matches_buffered(|enc| {
+            enc.u8(7);
+            enc.u32(0xdead_beef);
+            enc.f64(-0.0);
+            enc.str("héllo");
+            enc.bytes(&[1, 2, 3]);
+        });
+        let mut hashing = Enc::hashing();
+        hashing.u64(1);
+        assert!(hashing.into_bytes().is_empty());
     }
 }

@@ -136,6 +136,51 @@ impl WindowDelta {
 /// accumulation order.
 type PairEvent = (u64, u64, Weight);
 
+/// One aggregated pair of the active window: its events and their
+/// re-summed aggregate, under one key, so an aggregate without events
+/// (or the reverse) cannot exist between advances.
+#[derive(Debug, Clone, Default)]
+struct PairState {
+    /// The pair's active events; sorted by arrival seq between advances.
+    events: Vec<PairEvent>,
+    /// The aggregate over `events`. `0.0` marks a pair whose first events
+    /// are entering mid-advance: every real aggregate is positive, because
+    /// every accepted event weight is.
+    weight: Weight,
+}
+
+/// Sums `events` in list order — never subtracting, so over an
+/// arrival-ordered list this replays `GraphBuilder::add_event` bit for
+/// bit.
+fn arrival_sum(events: &[PairEvent]) -> Weight {
+    let mut sum = 0.0;
+    for &(_, _, w) in events {
+        sum += w;
+    }
+    sum
+}
+
+impl PairState {
+    /// Restores arrival order, re-sums the events into the aggregate and
+    /// returns the change against the previous aggregate if its bits
+    /// moved. An emptied pair retracts (`new == None`); the caller drops
+    /// it.
+    fn resum(&mut self, src: NodeId, dst: NodeId) -> Option<EdgeChange> {
+        // Entering events are appended in `(time, seq)` order after any
+        // survivors; restore arrival order before re-summing.
+        self.events.sort_unstable_by_key(|&(seq, _, _)| seq);
+        let old = (self.weight > 0.0).then_some(self.weight);
+        let new = (!self.events.is_empty()).then(|| arrival_sum(&self.events));
+        self.weight = new.unwrap_or(0.0);
+        (old.map(f64::to_bits) != new.map(f64::to_bits)).then_some(EdgeChange {
+            src,
+            dst,
+            old,
+            new,
+        })
+    }
+}
+
 /// Slices a pushed [`EdgeEvent`] stream into sliding windows and emits one
 /// [`WindowDelta`] per [`advance`](Self::advance).
 ///
@@ -152,6 +197,10 @@ type PairEvent = (u64, u64, Weight);
 /// used by [`GraphBuilder::add_event`](crate::GraphBuilder::add_event), so
 /// the stream the windower aggregates is the stream a cold rebuild would
 /// aggregate.
+///
+/// Between advances, `pairs` holds exactly the `active` events: every
+/// active event sits in its pair's list and nothing else does. Both
+/// advance paths and [`from_state`](Self::from_state) keep to that.
 #[derive(Debug, Clone)]
 pub struct SlidingWindower {
     width: u64,
@@ -163,11 +212,8 @@ pub struct SlidingWindower {
     pending: BTreeMap<(u64, u64), (NodeId, NodeId, Weight)>,
     /// Events inside the current window, keyed by `(time, arrival seq)`.
     active: BTreeMap<(u64, u64), (NodeId, NodeId)>,
-    /// Per-pair surviving events, kept sorted by arrival seq so
-    /// re-summation replays the cold accumulation order.
-    pair_events: FxHashMap<(NodeId, NodeId), Vec<PairEvent>>,
-    /// Current aggregated weight per pair (the window's edge weights).
-    agg: FxHashMap<(NodeId, NodeId), Weight>,
+    /// Per-pair active events and aggregate (the window's edge weights).
+    pairs: FxHashMap<(NodeId, NodeId), PairState>,
     invalid_events: u64,
     late_events: u64,
     gap_events: u64,
@@ -189,8 +235,7 @@ impl SlidingWindower {
             seq: 0,
             pending: BTreeMap::new(),
             active: BTreeMap::new(),
-            pair_events: FxHashMap::default(),
-            agg: FxHashMap::default(),
+            pairs: FxHashMap::default(),
             invalid_events: 0,
             late_events: 0,
             gap_events: 0,
@@ -235,9 +280,27 @@ impl SlidingWindower {
     /// Emits the next window `[s, s + width)` and returns the aggregated
     /// delta against the previous window.
     ///
+    /// When every active event is older than `s` — always the case for
+    /// `slide >= width` — the whole previous window leaves, and the delta
+    /// is a diff of the entering events' per-pair sums against the
+    /// previous aggregates. Otherwise only the pairs an event enters or
+    /// leaves are re-summed. Both paths emit the same bits.
+    ///
     /// # Panics
     /// Panics if the window range or the next start would overflow `u64`.
     pub fn advance(&mut self) -> WindowDelta {
+        let s = self.next_start;
+        let all_leave = self
+            .active
+            .last_key_value()
+            .is_none_or(|(&(newest, _), _)| newest < s);
+        self.advance_via(all_leave)
+    }
+
+    /// [`advance`](Self::advance) with the path chosen by the caller;
+    /// `all_leave` is only sound when every active event is older than
+    /// the next window's start.
+    fn advance_via(&mut self, all_leave: bool) -> WindowDelta {
         let s = self.next_start;
         let e = s
             .checked_add(self.width)
@@ -253,56 +316,11 @@ impl SlidingWindower {
         let keep = self.pending.split_off(&(e, 0));
         let entering = std::mem::replace(&mut self.pending, keep);
 
-        // Leaving: active events with time < s.
-        let keep = self.active.split_off(&(s, 0));
-        let leaving = std::mem::replace(&mut self.active, keep);
-
-        let mut dirty: FxHashSet<(NodeId, NodeId)> = FxHashSet::default();
-        for &(src, dst) in leaving.values() {
-            dirty.insert((src, dst));
-        }
-        for (&(time, seq), &(src, dst, w)) in &entering {
-            dirty.insert((src, dst));
-            self.pair_events
-                .entry((src, dst))
-                .or_default()
-                .push((seq, time, w));
-            self.active.insert((time, seq), (src, dst));
-        }
-
-        let mut changes = Vec::with_capacity(dirty.len());
-        for &(src, dst) in &dirty {
-            let new = match self.pair_events.get_mut(&(src, dst)) {
-                Some(events) => {
-                    events.retain(|&(_, t, _)| t >= s);
-                    // Entering events were appended after older survivors;
-                    // restore arrival order before re-summing.
-                    events.sort_unstable_by_key(|&(seq, _, _)| seq);
-                    if events.is_empty() {
-                        None
-                    } else {
-                        // Re-sum in arrival order — never subtract; this
-                        // replays `GraphBuilder::add_event` bit for bit.
-                        let mut sum = 0.0;
-                        for &(_, _, w) in events.iter() {
-                            sum += w;
-                        }
-                        Some(sum)
-                    }
-                }
-                None => None,
-            };
-            let old = match new {
-                Some(w) => self.agg.insert((src, dst), w),
-                None => {
-                    self.pair_events.remove(&(src, dst));
-                    self.agg.remove(&(src, dst))
-                }
-            };
-            if old.map(f64::to_bits) != new.map(f64::to_bits) {
-                changes.push(EdgeChange { src, dst, old, new });
-            }
-        }
+        let mut changes = if all_leave {
+            self.resum_all(entering)
+        } else {
+            self.resum_dirty(s, &entering)
+        };
         changes.sort_unstable_by_key(EdgeChange::pair);
 
         self.next_start = s
@@ -315,16 +333,86 @@ impl SlidingWindower {
         }
     }
 
+    /// The all-leave path: every pair's list is replaced by its entering
+    /// events, so one pass re-sums every pair and drops the emptied ones,
+    /// and `active` is exactly the (already sorted) entering map.
+    fn resum_all(
+        &mut self,
+        entering: BTreeMap<(u64, u64), (NodeId, NodeId, Weight)>,
+    ) -> Vec<EdgeChange> {
+        for pair in self.pairs.values_mut() {
+            pair.events.clear();
+        }
+        for (&(time, seq), &(src, dst, w)) in &entering {
+            self.pairs
+                .entry((src, dst))
+                .or_default()
+                .events
+                .push((seq, time, w));
+        }
+        let mut changes = Vec::new();
+        self.pairs.retain(|&(src, dst), pair| {
+            changes.extend(pair.resum(src, dst));
+            !pair.events.is_empty()
+        });
+        self.active = entering
+            .into_iter()
+            .map(|(key, (src, dst, _))| (key, (src, dst)))
+            .collect();
+        changes
+    }
+
+    /// The general path: events older than `s` leave, the entering ones
+    /// join, and only the pairs either touched are re-summed.
+    fn resum_dirty(
+        &mut self,
+        s: u64,
+        entering: &BTreeMap<(u64, u64), (NodeId, NodeId, Weight)>,
+    ) -> Vec<EdgeChange> {
+        // Leaving: active events with time < s.
+        let keep = self.active.split_off(&(s, 0));
+        let leaving = std::mem::replace(&mut self.active, keep);
+
+        let mut dirty: FxHashSet<(NodeId, NodeId)> = FxHashSet::default();
+        for &(src, dst) in leaving.values() {
+            dirty.insert((src, dst));
+        }
+        for (&(time, seq), &(src, dst, w)) in entering {
+            dirty.insert((src, dst));
+            self.pairs
+                .entry((src, dst))
+                .or_default()
+                .events
+                .push((seq, time, w));
+            self.active.insert((time, seq), (src, dst));
+        }
+
+        let mut changes = Vec::with_capacity(dirty.len());
+        for (src, dst) in dirty {
+            // Always present: a leaving event sat in its pair's list, and
+            // an entering one was just pushed.
+            let Some(pair) = self.pairs.get_mut(&(src, dst)) else {
+                continue;
+            };
+            pair.events.retain(|&(_, t, _)| t >= s);
+            changes.extend(pair.resum(src, dst));
+            if pair.events.is_empty() {
+                self.pairs.remove(&(src, dst));
+            }
+        }
+        changes
+    }
+
     /// Current aggregated weight of `(src, dst)` in the active window.
     #[must_use]
     pub fn aggregate_weight(&self, src: NodeId, dst: NodeId) -> Option<Weight> {
-        self.agg.get(&(src, dst)).copied()
+        self.pairs.get(&(src, dst)).map(|pair| pair.weight)
     }
 
     /// Number of distinct aggregated edges in the active window.
     #[must_use]
     pub fn active_edges(&self) -> usize {
-        self.agg.len()
+        self.pairs.len()
     }
 
     /// Events buffered for future windows.
@@ -352,43 +440,46 @@ impl SlidingWindower {
         self.gap_events
     }
 
+    /// A borrowed view of the state in canonical order: what
+    /// [`export_state`](Self::export_state) copies out, readable without
+    /// copying. Costs one sort of the pair keys.
+    #[must_use]
+    pub fn view(&self) -> WindowerView<'_> {
+        // Keys by value: the sort compares inline keys, not pointers into
+        // the hash table.
+        let mut pairs: Vec<_> = self
+            .pairs
+            .iter()
+            .map(|(&pair, state)| (pair, state))
+            .collect();
+        pairs.sort_unstable_by_key(|&(pair, _)| pair);
+        WindowerView { w: self, pairs }
+    }
+
     /// Exports the windower's complete state as a deterministic,
     /// serialisable image: map contents are emitted in sorted key order,
     /// so two bit-identical windowers export byte-identical states
     /// regardless of hash-map iteration order.
     #[must_use]
     pub fn export_state(&self) -> WindowerState {
-        let pending = self
-            .pending
-            .iter()
-            .map(|(&(time, seq), &(src, dst, w))| (time, seq, src, dst, w))
-            .collect();
-        let active = self
-            .active
-            .iter()
-            .map(|(&(time, seq), &(src, dst))| (time, seq, src, dst))
-            .collect();
-        let mut pair_events: Vec<((NodeId, NodeId), Vec<PairEvent>)> = self
-            .pair_events
-            .iter()
-            .map(|(&pair, events)| (pair, events.clone()))
-            .collect();
-        pair_events.sort_unstable_by_key(|&(pair, _)| pair);
-        let mut agg: Vec<((NodeId, NodeId), Weight)> =
-            self.agg.iter().map(|(&pair, &w)| (pair, w)).collect();
-        agg.sort_unstable_by_key(|&(pair, _)| pair);
+        let view = self.view();
+        let [width, slide, next_start, seq, invalid_events, late_events, gap_events] =
+            view.header();
         WindowerState {
-            width: self.width,
-            slide: self.slide,
-            next_start: self.next_start,
-            seq: self.seq,
-            invalid_events: self.invalid_events,
-            late_events: self.late_events,
-            gap_events: self.gap_events,
-            pending,
-            active,
-            pair_events,
-            agg,
+            width,
+            slide,
+            next_start,
+            seq,
+            invalid_events,
+            late_events,
+            gap_events,
+            pending: view.pending().collect(),
+            active: view.active().collect(),
+            pair_events: view
+                .pair_events()
+                .map(|(pair, events)| (pair, events.to_vec()))
+                .collect(),
+            agg: view.agg().collect(),
         }
     }
 
@@ -398,10 +489,15 @@ impl SlidingWindower {
     /// yields the same deltas.
     ///
     /// # Errors
-    /// Returns a description of the first violated invariant (zero
-    /// width/slide, unsorted or duplicated keys, invalid event weights)
-    /// instead of panicking — restore runs on the recovery path, where
-    /// corrupt input must degrade into a typed error.
+    /// Returns a description of the first violated invariant instead of
+    /// panicking — restore runs on the recovery path, where corrupt input
+    /// must degrade into a typed error. Checked: zero width/slide;
+    /// unsorted or duplicated keys; invalid event weights; arrival seqs
+    /// that repeat or reach the next seq; a pair whose event list is
+    /// empty, not strictly ascending by seq, or without an aggregate (or
+    /// the reverse); an aggregate that is not the arrival-order sum of
+    /// its events; and any pair event without its active entry, or
+    /// active entry without its pair event.
     pub fn from_state(state: WindowerState) -> Result<SlidingWindower, String> {
         if state.width == 0 {
             return Err("windower state: zero window width".into());
@@ -434,31 +530,73 @@ impl SlidingWindower {
             last = Some((time, seq));
             active.insert((time, seq), (src, dst));
         }
-        let mut pair_events = FxHashMap::default();
+        // Arrival order is only defined if every buffered or active event
+        // has its own seq, below the one the next push takes.
+        let mut seqs: Vec<u64> = pending
+            .keys()
+            .chain(active.keys())
+            .map(|&(_, seq)| seq)
+            .collect();
+        seqs.sort_unstable();
+        let buffered = seqs.len();
+        seqs.dedup();
+        if seqs.len() != buffered {
+            return Err("windower state: arrival seqs repeat".into());
+        }
+        if seqs.last().is_some_and(|&last| last >= state.seq) {
+            return Err("windower state: arrival seq at or past the next seq".into());
+        }
+        if state.pair_events.len() != state.agg.len() {
+            return Err("windower state: pair_events and agg cover different pairs".into());
+        }
+        let mut pairs = FxHashMap::default();
+        let mut pair_event_count = 0usize;
         let mut last_pair: Option<(NodeId, NodeId)> = None;
-        for (pair, events) in &state.pair_events {
-            if last_pair.is_some_and(|p| p >= *pair) {
-                return Err("windower state: pair_events keys not strictly ascending".into());
+        for ((pair, events), &(agg_pair, weight)) in state.pair_events.into_iter().zip(&state.agg) {
+            if last_pair.is_some_and(|p| p >= pair) {
+                return Err("windower state: pair keys not strictly ascending".into());
             }
-            last_pair = Some(*pair);
-            for &(_, _, w) in events {
+            last_pair = Some(pair);
+            if agg_pair != pair {
+                return Err(format!(
+                    "windower state: pair_events and agg disagree at {pair:?}"
+                ));
+            }
+            if events.is_empty() {
+                return Err(format!("windower state: no events for {pair:?}"));
+            }
+            let mut last_seq: Option<u64> = None;
+            for &(seq, time, w) in &events {
                 if !(w.is_finite() && w > 0.0) {
                     return Err(format!("windower state: invalid pair event for {pair:?}"));
                 }
+                if last_seq.is_some_and(|s| s >= seq) {
+                    return Err(format!(
+                        "windower state: events of {pair:?} not strictly ascending by seq"
+                    ));
+                }
+                last_seq = Some(seq);
+                if active.get(&(time, seq)) != Some(&pair) {
+                    return Err(format!(
+                        "windower state: event ({time}, {seq}) of {pair:?} is not active"
+                    ));
+                }
             }
-            pair_events.insert(*pair, events.clone());
-        }
-        let mut agg = FxHashMap::default();
-        let mut last_pair: Option<(NodeId, NodeId)> = None;
-        for &(pair, w) in &state.agg {
-            if last_pair.is_some_and(|p| p >= pair) {
-                return Err("windower state: agg keys not strictly ascending".into());
-            }
-            last_pair = Some(pair);
-            if !(w.is_finite() && w > 0.0) {
+            if !(weight.is_finite() && weight > 0.0) {
                 return Err(format!("windower state: invalid aggregate for {pair:?}"));
             }
-            agg.insert(pair, w);
+            if arrival_sum(&events).to_bits() != weight.to_bits() {
+                return Err(format!(
+                    "windower state: aggregate of {pair:?} is not the sum of its events"
+                ));
+            }
+            pair_event_count += events.len();
+            pairs.insert(pair, PairState { events, weight });
+        }
+        // Each pair event matched a distinct active entry above, so equal
+        // counts leave no active entry without its pair event.
+        if pair_event_count != active.len() {
+            return Err("windower state: active events missing from pair_events".into());
         }
         Ok(SlidingWindower {
             width: state.width,
@@ -467,12 +605,71 @@ impl SlidingWindower {
             seq: state.seq,
             pending,
             active,
-            pair_events,
-            agg,
+            pairs,
             invalid_events: state.invalid_events,
             late_events: state.late_events,
             gap_events: state.gap_events,
         })
+    }
+}
+
+/// A borrowed image of a [`SlidingWindower`], in the canonical order of
+/// [`WindowerState`], produced by [`SlidingWindower::view`]. Encoders walk
+/// it to serialise or digest a live windower without copying its event
+/// lists.
+#[derive(Debug)]
+pub struct WindowerView<'a> {
+    w: &'a SlidingWindower,
+    pairs: Vec<((NodeId, NodeId), &'a PairState)>,
+}
+
+impl<'a> WindowerView<'a> {
+    /// The scalar fields in [`WindowerState`] order: width, slide, next
+    /// start, next seq, then the invalid, late and gap counters.
+    #[must_use]
+    pub fn header(&self) -> [u64; 7] {
+        let w = self.w;
+        [
+            w.width,
+            w.slide,
+            w.next_start,
+            w.seq,
+            w.invalid_events,
+            w.late_events,
+            w.gap_events,
+        ]
+    }
+
+    /// [`WindowerState::pending`], borrowed.
+    pub fn pending(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (u64, u64, NodeId, NodeId, Weight)> + 'a {
+        self.w
+            .pending
+            .iter()
+            .map(|(&(time, seq), &(src, dst, w))| (time, seq, src, dst, w))
+    }
+
+    /// [`WindowerState::active`], borrowed.
+    pub fn active(&self) -> impl ExactSizeIterator<Item = (u64, u64, NodeId, NodeId)> + 'a {
+        self.w
+            .active
+            .iter()
+            .map(|(&(time, seq), &(src, dst))| (time, seq, src, dst))
+    }
+
+    /// [`WindowerState::pair_events`], borrowed.
+    pub fn pair_events(
+        &self,
+    ) -> impl ExactSizeIterator<Item = ((NodeId, NodeId), &'a [PairEvent])> + '_ {
+        self.pairs
+            .iter()
+            .map(|&(pair, state)| (pair, state.events.as_slice()))
+    }
+
+    /// [`WindowerState::agg`], borrowed.
+    pub fn agg(&self) -> impl ExactSizeIterator<Item = ((NodeId, NodeId), Weight)> + '_ {
+        self.pairs.iter().map(|&(pair, state)| (pair, state.weight))
     }
 }
 
@@ -519,6 +716,7 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::graph::CommGraph;
+    use proptest::prelude::*;
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
@@ -771,19 +969,229 @@ mod tests {
         assert_eq!(w.active_edges(), restored.active_edges());
     }
 
-    /// Corrupt states must come back as typed errors, never panics.
+    /// A consistent mid-stream state: pair (0,1) holds three active
+    /// events, (1,2) one, and one event is still pending.
+    fn mid_stream_state() -> WindowerState {
+        let mut w = SlidingWindower::tumbling(0, 10);
+        for e in [
+            ev(1, 0, 1, 0.1),
+            ev(2, 0, 1, 0.2),
+            ev(3, 0, 1, 0.3),
+            ev(4, 1, 2, 1.5),
+            ev(12, 2, 0, 0.5),
+        ] {
+            assert!(w.push(e));
+        }
+        let _ = w.advance();
+        let state = w.export_state();
+        assert_eq!(state.pair_events[0].1.len(), 3, "fixture shape");
+        state
+    }
+
+    /// Restoring `state` fails, and the error names the broken invariant.
+    fn rejects(state: WindowerState, needle: &str) {
+        match SlidingWindower::from_state(state) {
+            Ok(_) => panic!("accepted a state that should fail with `{needle}`"),
+            Err(e) => assert!(e.contains(needle), "`{e}` does not mention `{needle}`"),
+        }
+    }
+
+    /// Corrupt states must come back as typed errors, never panics. That
+    /// covers the cross-part invariants both advance paths rely on:
+    /// `pairs` holds exactly the active events, each list in arrival
+    /// order, each aggregate the arrival-order sum of its list.
     #[test]
     fn corrupt_state_rejected_with_error() {
-        let base = SlidingWindower::tumbling(0, 10).export_state();
-        let mut zero_width = base.clone();
+        let empty = SlidingWindower::tumbling(0, 10).export_state();
+        let mut zero_width = empty.clone();
         zero_width.width = 0;
         assert!(SlidingWindower::from_state(zero_width).is_err());
-        let mut bad_agg = base.clone();
+        let mut bad_agg = empty.clone();
         bad_agg.agg.push(((n(0), n(1)), f64::NAN));
         assert!(SlidingWindower::from_state(bad_agg).is_err());
-        let mut dup_pending = base;
+        let mut dup_pending = empty;
         dup_pending.pending.push((5, 1, n(0), n(1), 1.0));
         dup_pending.pending.push((5, 1, n(0), n(2), 1.0));
         assert!(SlidingWindower::from_state(dup_pending).is_err());
+
+        let base = mid_stream_state();
+        assert!(SlidingWindower::from_state(base.clone()).is_ok());
+
+        // An aggregate with no event list, and an event list with no
+        // aggregate.
+        let mut s = base.clone();
+        s.pair_events.remove(1);
+        rejects(s, "different pairs");
+        let mut s = base.clone();
+        s.agg.remove(1);
+        rejects(s, "different pairs");
+        let mut s = base.clone();
+        s.pair_events[1].0 = (n(1), n(3));
+        rejects(s, "disagree");
+
+        // An aggregate that is not the arrival-order re-sum.
+        let mut s = base.clone();
+        let reversed: f64 = 0.3 + 0.2 + 0.1;
+        assert_ne!(reversed.to_bits(), s.agg[0].1.to_bits(), "fixture shape");
+        s.agg[0].1 = reversed;
+        rejects(s, "not the sum of its events");
+
+        // A pair list out of seq order, and an emptied one.
+        let mut s = base.clone();
+        s.pair_events[0].1.swap(0, 1);
+        rejects(s, "not strictly ascending by seq");
+        let mut s = base.clone();
+        s.pair_events[1].1.clear();
+        rejects(s, "no events");
+
+        // An active entry with no pair event: drop one event from the
+        // list and keep its aggregate consistent, so only the active
+        // cross-check can catch it.
+        let mut s = base.clone();
+        s.pair_events[0].1.pop();
+        s.agg[0].1 = 0.1 + 0.2;
+        rejects(s, "missing from pair_events");
+
+        // A pair event with no active entry, or under another pair.
+        let mut s = base.clone();
+        s.active.remove(0);
+        rejects(s, "is not active");
+        let mut s = base.clone();
+        s.active[0].3 = n(2);
+        rejects(s, "is not active");
+
+        // Arrival seqs that repeat, or collide with the next push.
+        let mut s = base.clone();
+        s.pending[0].1 = s.active[0].1;
+        rejects(s, "repeat");
+        let mut s = base;
+        s.seq = s.pending[0].1;
+        rejects(s, "next seq");
+    }
+
+    /// Every `f64` of a state, as bits, so equality means bit-identity.
+    type StateBits = (
+        Vec<(u64, u64, NodeId, NodeId, u64)>,
+        Vec<((NodeId, NodeId), Vec<(u64, u64, u64)>)>,
+        Vec<((NodeId, NodeId), u64)>,
+    );
+
+    fn state_bits(s: &WindowerState) -> StateBits {
+        (
+            s.pending
+                .iter()
+                .map(|&(t, q, a, b, w)| (t, q, a, b, w.to_bits()))
+                .collect(),
+            s.pair_events
+                .iter()
+                .map(|(p, ev)| {
+                    (
+                        *p,
+                        ev.iter().map(|&(q, t, w)| (q, t, w.to_bits())).collect(),
+                    )
+                })
+                .collect(),
+            s.agg.iter().map(|&(p, w)| (p, w.to_bits())).collect(),
+        )
+    }
+
+    type ChangeBits = (NodeId, NodeId, Option<u64>, Option<u64>);
+
+    fn delta_bits(d: &WindowDelta) -> (u64, u64, Vec<ChangeBits>) {
+        let changes = d
+            .changes
+            .iter()
+            .map(|c| {
+                (
+                    c.src,
+                    c.dst,
+                    c.old.map(f64::to_bits),
+                    c.new.map(f64::to_bits),
+                )
+            })
+            .collect();
+        (d.start, d.end, changes)
+    }
+
+    fn assert_same_state(a: &SlidingWindower, b: &SlidingWindower) {
+        let (x, y) = (a.export_state(), b.export_state());
+        assert_eq!(x, y);
+        assert_eq!(state_bits(&x), state_bits(&y));
+    }
+
+    /// One step of a random stream: push an event, or advance a window.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Push(EdgeEvent),
+        Advance,
+    }
+
+    fn op_stream() -> impl Strategy<Value = Vec<Op>> {
+        // Times run past several windows in random order, so streams mix
+        // out-of-order, late and gapped events; a few self-loops test the
+        // validity gate. Weights with no exact binary form make the sum
+        // order visible in the bits.
+        let op = (0u8..5, 0u64..60, 0usize..5, 0usize..5, 1u32..40);
+        prop::collection::vec(op, 0..120).prop_map(|ops| {
+            ops.into_iter()
+                .map(|(kind, time, src, dst, w)| {
+                    if kind == 0 {
+                        Op::Advance
+                    } else {
+                        Op::Push(ev(time, src, dst, f64::from(w) * 0.1))
+                    }
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        /// The all-leave path and the general path emit the same deltas
+        /// and leave the same state, bit for bit, for tumbling,
+        /// overlapping and gapped windows, through a mid-stream
+        /// export/restore.
+        #[test]
+        fn all_leave_path_matches_general_path(
+            ops in op_stream(),
+            width in 1u64..12,
+            slide_pick in 0u8..3,
+            step in 1u64..6,
+            restore_at in 0usize..120,
+        ) {
+            // slide < width, slide == width and slide > width in turn.
+            let slide = match slide_pick {
+                0 => width.saturating_sub(step).max(1),
+                1 => width,
+                _ => width + step,
+            };
+            let mut fast = SlidingWindower::new(0, width, slide);
+            let mut general = fast.clone();
+            for (i, &op) in ops.iter().enumerate() {
+                if i == restore_at {
+                    fast = SlidingWindower::from_state(fast.export_state()).unwrap();
+                    general = SlidingWindower::from_state(general.export_state()).unwrap();
+                }
+                match op {
+                    Op::Push(e) => prop_assert_eq!(fast.push(e), general.push(e)),
+                    Op::Advance => {
+                        if slide >= width {
+                            let s = fast.next_start;
+                            prop_assert!(fast.active.keys().all(|&(t, _)| t < s));
+                        }
+                        let a = fast.advance();
+                        let b = general.advance_via(false);
+                        prop_assert_eq!(delta_bits(&a), delta_bits(&b));
+                    }
+                }
+                assert_same_state(&fast, &general);
+            }
+            // Drain the buffer through both paths.
+            while fast.pending_events() > 0 {
+                let a = fast.advance();
+                let b = general.advance_via(false);
+                prop_assert_eq!(delta_bits(&a), delta_bits(&b));
+                assert_same_state(&fast, &general);
+            }
+        }
     }
 }

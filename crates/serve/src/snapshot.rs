@@ -59,7 +59,7 @@ pub fn encode_snapshot(config: &ServeConfig, live: &LiveState<'_>, wal_epoch: u6
     for &s in &live.subjects {
         enc.u32(s.raw());
     }
-    persist::encode_windower(&mut enc, &live.windower.export_state());
+    persist::encode_live_windower(&mut enc, &live.windower);
     enc.u8(config.tier.tag());
     live.det.tier().encode_state(&mut enc);
     persist::encode_signature_set(&mut enc, live.det.prev_signatures());

@@ -174,15 +174,33 @@ impl<'a> LiveState<'a> {
     /// The bit-identity oracle: an FNV-1a digest over the tier's durable
     /// state, the previous signatures and the windower, then the
     /// matcher's history-dependent state and the monotone counters.
-    /// Equal digests mean equal service state, byte for byte.
+    /// Equal digests mean equal service state, byte for byte. The
+    /// encoders stream straight into the hash, so no byte of the state
+    /// is copied; [`state_digest_reference`](Self::state_digest_reference)
+    /// is the buffered oracle it must equal.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
+        let mut enc = Enc::hashing();
+        self.det.tier().encode_state(&mut enc);
+        persist::encode_signature_set(&mut enc, self.det.prev_signatures());
+        persist::encode_live_windower(&mut enc, &self.windower);
+        self.finish_digest(enc.into_digest())
+    }
+
+    /// [`state_digest`](Self::state_digest) the buffered way: encode the
+    /// state, with the windower's exported image, into one `Vec`, then
+    /// FNV-1a over it.
+    #[must_use]
+    pub fn state_digest_reference(&self) -> u64 {
         let mut enc = Enc::new();
         self.det.tier().encode_state(&mut enc);
         persist::encode_signature_set(&mut enc, self.det.prev_signatures());
         persist::encode_windower(&mut enc, &self.windower.export_state());
-        let mut h = Fnv::new();
-        h.write(&enc.into_bytes());
+        self.finish_digest(enc.into_digest())
+    }
+
+    /// Folds the matcher state and the counters after the encoded state.
+    fn finish_digest(&self, mut h: Fnv) -> u64 {
         self.det.matcher().digest_state(&mut h);
         h.write_u64(self.windows);
         h.write_u64(self.ingested_events);
