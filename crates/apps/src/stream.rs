@@ -277,7 +277,7 @@ mod tests {
     use comsig_core::pipeline::{DeltaScheme, SignaturePipeline};
     use comsig_core::scheme::{Rwr, SignatureScheme, TopTalkers};
     use comsig_eval::ann::{AnnConfig, AnnIndex};
-    use comsig_eval::index::{IndexLayout, PostingsIndex};
+    use comsig_eval::index::PostingsIndex;
     use comsig_graph::{CommGraph, EdgeEvent, GraphBuilder, NodeId, SlidingWindower};
     use comsig_sketch::stream::StreamConfig;
     use comsig_sketch::tier::{SketchScheme, SketchTier};
@@ -453,6 +453,13 @@ mod tests {
         }
         let rebuilt = PostingsIndex::build(det.matcher().candidate_set());
         assert_eq!(det.matcher().memory_entries(), rebuilt.memory_entries());
+        let mut h = Fnv::new();
+        h.write_u64(rebuilt.layout_digest());
+        assert_eq!(
+            matcher_digest(&det),
+            h.finish(),
+            "patched layout is canonical"
+        );
     }
 
     /// Every shard plan must produce bit-identical streaming detections
@@ -562,9 +569,10 @@ mod tests {
         }
     }
 
-    /// A detector reassembled from its encoded tier and matcher state
-    /// mid-stream must continue bit-identically to the uninterrupted
-    /// one — the serve snapshot/recovery discipline for the exact tier.
+    /// A detector reassembled mid-stream from its encoded tier state and
+    /// an index rebuilt over the decoded signatures must continue
+    /// bit-identically to the uninterrupted one — the serve
+    /// snapshot/recovery discipline for the exact tier.
     #[test]
     fn resume_from_parts_continues_bit_identically() {
         let scheme = Rwr::truncated(0.15, 2);
@@ -584,19 +592,17 @@ mod tests {
         let d1 = w.advance();
         let _ = det.advance(&SHel, &d0);
         let _ = det.advance(&SHel, &d1);
-        // Capture the parts, as a snapshot would.
+        // Capture the tier, as a snapshot would; the index is rebuilt
+        // from the decoded signatures.
         let mut enc = Enc::new();
         det.tier().encode_state(&mut enc);
-        det.matcher().encode_state(&mut enc);
         let bytes = enc.into_bytes();
         let mut dec = Dec::new(&bytes);
         let graph = persist::decode_graph(&mut dec).expect("graph decodes");
         let current = persist::decode_signature_set(&mut dec).expect("signatures decode");
-        let layout = IndexLayout::decode(&mut dec).expect("layout decodes");
         dec.finish("exact detector state")
             .expect("no trailing bytes");
-        let index =
-            PostingsIndex::from_layout(current.clone(), layout).expect("exported layout restores");
+        let index = PostingsIndex::build_owned(current.clone());
         let pipeline =
             SignaturePipeline::resume(&scheme, graph, current, cfg.k, plan).expect("in range");
         let prev = det.prev_signatures().clone();

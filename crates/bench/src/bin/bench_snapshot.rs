@@ -35,9 +35,8 @@ use comsig_sketch::tier::{SketchScheme, SketchTier};
 const SAMPLES: usize = 7;
 
 /// Kernel variant axis recorded in every snapshot: the blocked,
-/// 4-lane-chunked f64 kernels of DESIGN.md §15. The opt-in
-/// `f32-scatter` feature never changes the default path these snapshots
-/// measure, so the axis is a constant of the build, not a sweep.
+/// 4-lane-chunked f64 kernels of DESIGN.md §15, the only kernels the
+/// build has, so the axis is a constant, not a sweep.
 const KERNEL: &str = "blocked-lane4-f64";
 
 fn median_ns(mut f: impl FnMut()) -> f64 {

@@ -54,8 +54,6 @@ pub mod engine;
 pub mod persist;
 pub mod pipeline;
 pub mod properties;
-#[cfg(feature = "f32-scatter")]
-pub mod scatter32;
 pub mod scheme;
 mod signature;
 mod sparse;

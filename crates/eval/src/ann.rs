@@ -31,7 +31,7 @@
 use rustc_hash::FxHashSet;
 
 use comsig_core::distance::BatchDistance;
-use comsig_core::persist::{Enc, Fnv};
+use comsig_core::persist::Fnv;
 use comsig_core::{Signature, SignatureSet};
 use comsig_graph::{NodeId, ShardPlan};
 use comsig_sketch::lsh::LshIndex;
@@ -100,13 +100,9 @@ pub trait SubjectMatcher: Send + Sync {
     /// `bench_snapshot`.
     fn memory_entries(&self) -> usize;
 
-    /// Appends the matcher state a rebuild from the candidate
-    /// signatures would not reproduce to a snapshot body. Nothing by
-    /// default: a matcher derived purely from its candidates is rebuilt
-    /// on resume instead.
-    fn encode_state(&self, _enc: &mut Enc) {}
-
-    /// Folds the same history-dependent state into a state digest.
+    /// Folds the matcher's own state into a state digest. Nothing by
+    /// default. Every matcher is a function of its candidates and is
+    /// rebuilt on resume, never persisted.
     fn digest_state(&self, _h: &mut Fnv) {}
 }
 
@@ -126,21 +122,15 @@ impl SubjectMatcher for PostingsIndex<'_> {
         PostingsIndex::rank_top_l_into(self, dist, query, l, ws, entries);
     }
 
-    fn patch(&mut self, dirty: Vec<(NodeId, Signature)>, plan: &ShardPlan) {
-        self.update_with(dirty, plan);
+    fn patch(&mut self, dirty: Vec<(NodeId, Signature)>, _plan: &ShardPlan) {
+        self.update(dirty);
     }
 
     fn memory_entries(&self) -> usize {
         self.posting_mass() + self.len()
     }
 
-    /// The physical layout: patched slot assignment and posting order
-    /// are history-dependent, so a cold rebuild would not be
-    /// byte-identical.
-    fn encode_state(&self, enc: &mut Enc) {
-        self.export_layout().encode(enc);
-    }
-
+    /// The canonical postings layout, a function of the candidates.
     fn digest_state(&self, h: &mut Fnv) {
         h.write_u64(self.layout_digest());
     }
@@ -522,24 +512,22 @@ mod tests {
         assert_eq!(m.candidate_set().get(n(0)).expect("sig").len(), fresh.len());
     }
 
-    /// The exact index persists and digests its patched layout; the LSH
-    /// front contributes nothing, since resume rebuilds it.
+    /// The exact index folds its layout digest into the state digest;
+    /// the LSH front contributes nothing.
     #[test]
     fn only_the_postings_layout_enters_durable_state() {
         let set = twin_population();
         let index = PostingsIndex::build_owned(set.clone());
         let ann = AnnIndex::build(&set, AnnConfig::default());
         let state = |m: &dyn SubjectMatcher| {
-            let (mut enc, mut h) = (Enc::new(), Fnv::new());
-            m.encode_state(&mut enc);
+            let mut h = Fnv::new();
             m.digest_state(&mut h);
-            (enc.byte_len(), h.finish())
+            h.finish()
         };
         let mut layout_only = Fnv::new();
         layout_only.write_u64(index.layout_digest());
-        assert_eq!(state(&index).1, layout_only.finish());
-        assert!(state(&index).0 > 0);
-        assert_eq!(state(&ann), (0, Fnv::new().finish()));
+        assert_eq!(state(&index), layout_only.finish());
+        assert_eq!(state(&ann), Fnv::new().finish());
     }
 
     #[test]

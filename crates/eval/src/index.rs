@@ -19,35 +19,28 @@
 //! The contract layer re-verifies this per touched candidate in debug /
 //! `contracts` builds ([`contract::check_indexed_distance`]).
 //!
-//! ## Incremental maintenance
+//! ## Canonical layout
+//!
+//! The index's layout is a pure function of its candidate signatures:
+//! member `u`'s posting list lives at slot `u.index()` of a dense
+//! `Vec`, and every list is kept sorted by candidate position. An index
+//! built from scratch and one patched through any history of
+//! [`PostingsIndex::update`]s over the same final signatures are
+//! therefore identical, not merely rank-equal
+//! ([`PostingsIndex::layout_digest`] is the oracle the tests check), so
+//! nothing about the index needs to be persisted: resume rebuilds it.
 //!
 //! The streaming pipeline changes only a dirty subset of candidate
-//! signatures per window; [`PostingsIndex::update`] patches exactly
-//! those candidates' posting entries and scalars instead of rebuilding.
-//! Posting lists are per-slot `Vec`s, so removal is `swap_remove` and
-//! insertion is `push`. Within-slot order is **not** load-bearing: each
-//! candidate appears at most once per slot, per-candidate accumulation
-//! order follows the query's member order (unchanged), and the scored
-//! list is fully re-sorted by `(distance, id)` before emission — so an
-//! updated index ranks bit-identically to one rebuilt from scratch.
-//!
-//! [`PostingsIndex::update_with`] shards the patching across worker
-//! threads: the dirty set is translated into per-slot edit ops, grouped
-//! by slot with the serial edit order preserved, and applied to
-//! slot-disjoint posting segments in parallel. Each list replays the
-//! serial `swap_remove`/`push` sequence exactly, so the physical layout
-//! — not just the ranking — is byte-identical at every thread count
-//! ([`PostingsIndex::layout_digest`] is the oracle the tests check).
+//! signatures per window; `update` patches exactly those candidates'
+//! posting entries and scalars by binary search in each touched list
+//! instead of rebuilding.
 
 use std::borrow::Cow;
 
-use rustc_hash::FxHashMap;
-
 use comsig_core::contract;
 use comsig_core::distance::{BatchDistance, SigScalars};
-use comsig_core::persist::{CodecError, Dec, Enc};
 use comsig_core::{Signature, SignatureSet};
-use comsig_graph::{NodeId, ShardPlan};
+use comsig_graph::NodeId;
 
 use crate::ranking::Ranking;
 
@@ -68,92 +61,12 @@ pub struct PostingsIndex<'a> {
     /// Candidate positions sorted by ascending subject id — the emission
     /// order of the untouched (distance-1) tail.
     id_order: Vec<u32>,
-    /// Member node → posting-list slot.
-    slot_of: FxHashMap<NodeId, u32>,
-    /// Per-slot posting lists of `(candidate position, weight)`. A
-    /// candidate appears at most once per slot; within-slot order is
-    /// arbitrary (see the module docs on why that is bit-safe).
+    /// Posting lists of `(candidate position, weight)`, indexed by
+    /// member node id and grown to the largest member seen. Each list
+    /// is strictly ascending by candidate position.
     postings: Vec<Vec<(u32, f64)>>,
-    /// Total posting entries across all slots.
+    /// Total posting entries across all lists.
     posting_mass: usize,
-    /// Patch-op scratch reused across [`update_with`](Self::update_with)
-    /// calls, so a steady-state streaming loop allocates nothing per
-    /// window beyond posting-entry growth.
-    patch_ops: Vec<PatchOp>,
-}
-
-/// A [`PostingsIndex`]'s serialisable physical layout, produced by
-/// [`PostingsIndex::export_layout`] and consumed by
-/// [`PostingsIndex::from_layout`]. Covers exactly the history-dependent
-/// state a cold rebuild cannot reproduce: the member→slot assignment
-/// and each slot's posting list in its current physical order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndexLayout {
-    /// `(member node, slot)`, strictly ascending by member.
-    pub members: Vec<(NodeId, u32)>,
-    /// Per-slot posting lists of `(candidate position, weight)`,
-    /// verbatim.
-    pub postings: Vec<Vec<(u32, f64)>>,
-}
-
-impl IndexLayout {
-    /// Appends the layout to a snapshot body: the member→slot pairs,
-    /// then every posting list verbatim.
-    pub fn encode(&self, enc: &mut Enc) {
-        enc.len(self.members.len());
-        for &(u, slot) in &self.members {
-            enc.u32(u.raw());
-            enc.u32(slot);
-        }
-        enc.len(self.postings.len());
-        for list in &self.postings {
-            enc.len(list.len());
-            for &(pos, w) in list {
-                enc.u32(pos);
-                enc.f64(w);
-            }
-        }
-    }
-
-    /// Reads a layout written by [`encode`](Self::encode). Structural
-    /// validation against the candidates is
-    /// [`PostingsIndex::from_layout`]'s job.
-    ///
-    /// # Errors
-    /// A [`CodecError`] on truncated or oversized input.
-    pub fn decode(dec: &mut Dec<'_>) -> Result<IndexLayout, CodecError> {
-        let n = dec.seq_len(8, "snapshot.layout.members")?;
-        let mut members = Vec::with_capacity(n);
-        for _ in 0..n {
-            let u = NodeId::new(dec.u32("layout.member")? as usize);
-            members.push((u, dec.u32("layout.slot")?));
-        }
-        let n = dec.seq_len(8, "snapshot.layout.postings")?;
-        let mut postings = Vec::with_capacity(n);
-        for _ in 0..n {
-            let m = dec.seq_len(12, "layout.posting_list")?;
-            let mut list = Vec::with_capacity(m);
-            for _ in 0..m {
-                let pos = dec.u32("posting.pos")?;
-                list.push((pos, dec.f64("posting.weight")?));
-            }
-            postings.push(list);
-        }
-        Ok(IndexLayout { members, postings })
-    }
-}
-
-/// One posting-list edit of a sharded update: remove candidate `pos`
-/// from `slot`, or insert `(pos, weight)` into it. `seq` is the op's
-/// position in the serial edit order; applying each slot's ops in
-/// ascending `seq` replays exactly the serial path's mutations.
-#[derive(Debug, Clone, Copy)]
-struct PatchOp {
-    slot: u32,
-    seq: u32,
-    pos: u32,
-    weight: f64,
-    insert: bool,
 }
 
 impl<'a> PostingsIndex<'a> {
@@ -175,18 +88,14 @@ impl<'a> PostingsIndex<'a> {
     fn build_from(candidates: Cow<'a, SignatureSet>) -> PostingsIndex<'a> {
         let n = candidates.len();
         let mut scalars = Vec::with_capacity(n);
-        let mut slot_of: FxHashMap<NodeId, u32> = FxHashMap::default();
         let mut postings: Vec<Vec<(u32, f64)>> = Vec::new();
         let mut posting_mass = 0usize;
+        // Positions are visited in ascending order, so every list comes
+        // out sorted.
         for (pos, (_, sig)) in candidates.iter().enumerate() {
             scalars.push(SigScalars::of(sig));
             for (u, w) in sig.iter() {
-                let next = postings.len() as u32;
-                let s = *slot_of.entry(u).or_insert(next);
-                if s == next {
-                    postings.push(Vec::new());
-                }
-                postings[s as usize].push((pos as u32, w));
+                slot_mut(&mut postings, u).push((pos as u32, w));
                 posting_mass += 1;
             }
         }
@@ -196,181 +105,68 @@ impl<'a> PostingsIndex<'a> {
             candidates,
             scalars,
             id_order,
-            slot_of,
             postings,
             posting_mass,
-            patch_ops: Vec::new(),
         }
     }
 
     /// Replaces the signatures of the given dirty subjects, patching
-    /// their posting entries and scalars in place: `O(k)` removals plus
-    /// `O(k)` insertions per dirty subject, instead of an `O(total
-    /// members)` rebuild. The candidate population is fixed — every
-    /// dirty subject must already be in the set.
+    /// their posting entries and scalars in place: per dirty subject, a
+    /// binary search into each touched list to drop departed members,
+    /// overwrite kept ones and insert new ones, instead of an
+    /// `O(total members)` rebuild. The candidate population is fixed —
+    /// every dirty subject must already be in the set.
     ///
-    /// Rankings from the patched index are bit-identical to rebuilding
-    /// from scratch over the updated signature set.
+    /// The patched index is identical to one built from scratch over the
+    /// updated signature set (equal [`layout_digest`](Self::layout_digest),
+    /// bit-identical rankings), whatever the order of the dirty subjects.
     ///
     /// # Panics
     /// Panics if a dirty subject is not a candidate.
     pub fn update(&mut self, dirty: impl IntoIterator<Item = (NodeId, Signature)>) {
-        let mut old_members: Vec<NodeId> = Vec::new();
         for (v, new_sig) in dirty {
             let Some((pos, old_sig)) = self.candidates.entry(v) else {
                 panic!("dirty subject {v} is not a candidate of this index");
             };
-            // Remove the old posting entries first: old and new
-            // signatures may share members, and the removal must not
-            // pick up a freshly inserted entry for the same candidate.
-            old_members.clear();
-            old_members.extend(old_sig.iter().map(|(u, _)| u));
-            for &u in &old_members {
-                // Every old member has a slot and a posting entry by
-                // construction; if the invariant is ever violated the
-                // entry is already gone, so skipping degrades gracefully
-                // instead of panicking mid-stream.
-                let Some(&s) = self.slot_of.get(&u) else {
+            let key = pos as u32;
+            for (u, _) in old_sig.iter() {
+                // Kept members are overwritten in place below.
+                if new_sig.contains(u) {
+                    continue;
+                }
+                // Every old member has a posting entry by construction;
+                // if the invariant is ever violated the entry is already
+                // gone, so skipping degrades gracefully instead of
+                // panicking mid-stream.
+                let Some(list) = self.postings.get_mut(u.index()) else {
                     continue;
                 };
-                let list = &mut self.postings[s as usize];
-                if let Some(at) = list.iter().position(|&(p, _)| p as usize == pos) {
-                    let _ = list.swap_remove(at);
+                if let Ok(at) = list.binary_search_by_key(&key, |&(p, _)| p) {
+                    let _ = list.remove(at);
                     self.posting_mass -= 1;
                 }
             }
             self.scalars[pos] = SigScalars::of(&new_sig);
             for (u, w) in new_sig.iter() {
-                let next = self.postings.len() as u32;
-                let s = *self.slot_of.entry(u).or_insert(next);
-                if s == next {
-                    self.postings.push(Vec::new());
+                let list = slot_mut(&mut self.postings, u);
+                match list.binary_search_by_key(&key, |&(p, _)| p) {
+                    Ok(at) => list[at].1 = w,
+                    Err(at) => {
+                        list.insert(at, (key, w));
+                        self.posting_mass += 1;
+                    }
                 }
-                self.postings[s as usize].push((pos as u32, w));
-                self.posting_mass += 1;
             }
             let _ = self.candidates.to_mut().replace(v, new_sig);
         }
     }
 
-    /// [`update`](Self::update), sharded per `plan`: the dirty set is
-    /// translated serially into per-slot patch ops (slot allocation in
-    /// the exact serial encounter order), the ops are grouped by slot —
-    /// preserving the serial edit sequence within each slot — and
-    /// slot-disjoint chunks are applied in parallel with zero
-    /// cross-shard writes. Because each posting list replays exactly
-    /// the serial path's `swap_remove`/`push` sequence, the physical
-    /// postings layout is **byte-identical** at every thread count (see
-    /// [`layout_digest`](Self::layout_digest)). A serial plan delegates
-    /// straight to [`update`](Self::update).
-    ///
-    /// # Panics
-    /// Panics if a dirty subject is not a candidate.
-    pub fn update_with(
-        &mut self,
-        dirty: impl IntoIterator<Item = (NodeId, Signature)>,
-        plan: &ShardPlan,
-    ) {
-        if plan.is_serial() {
-            return self.update(dirty);
-        }
-        // Phase 1 (serial): replace signatures and scalars, and record
-        // every posting-list edit as a patch op.
-        self.patch_ops.clear();
-        let mut seq = 0u32;
-        let mut old_members: Vec<NodeId> = Vec::new();
-        for (v, new_sig) in dirty {
-            let Some((pos, old_sig)) = self.candidates.entry(v) else {
-                panic!("dirty subject {v} is not a candidate of this index");
-            };
-            old_members.clear();
-            old_members.extend(old_sig.iter().map(|(u, _)| u));
-            for &u in &old_members {
-                // Same degradation rule as the serial path: a missing
-                // slot means the posting entry is already gone.
-                let Some(&slot) = self.slot_of.get(&u) else {
-                    continue;
-                };
-                self.patch_ops.push(PatchOp {
-                    slot,
-                    seq,
-                    pos: pos as u32,
-                    weight: 0.0,
-                    insert: false,
-                });
-                seq += 1;
-                self.posting_mass -= 1;
-            }
-            self.scalars[pos] = SigScalars::of(&new_sig);
-            for (u, w) in new_sig.iter() {
-                let next = self.postings.len() as u32;
-                let slot = *self.slot_of.entry(u).or_insert(next);
-                if slot == next {
-                    self.postings.push(Vec::new());
-                }
-                self.patch_ops.push(PatchOp {
-                    slot,
-                    seq,
-                    pos: pos as u32,
-                    weight: w,
-                    insert: true,
-                });
-                seq += 1;
-                self.posting_mass += 1;
-            }
-            let _ = self.candidates.to_mut().replace(v, new_sig);
-        }
-        if self.patch_ops.is_empty() {
-            return;
-        }
-        // Phase 2: group ops by slot. `seq` makes the key unique, so the
-        // unstable sort is deterministic and each slot keeps the serial
-        // edit order.
-        self.patch_ops.sort_unstable_by_key(|o| (o.slot, o.seq));
-        let ops = &self.patch_ops;
-        // Shard the op list, then snap each shard boundary forward to
-        // the next slot boundary so no posting list straddles shards.
-        let mut op_cuts: Vec<usize> = Vec::new();
-        let mut slot_cuts: Vec<usize> = Vec::new();
-        let targets = plan.ranges(ops.len());
-        for r in targets.iter().take(targets.len().saturating_sub(1)) {
-            let mut cut = r.end;
-            while cut < ops.len() && ops[cut].slot == ops[cut - 1].slot {
-                cut += 1;
-            }
-            if cut < ops.len() && op_cuts.last() != Some(&cut) {
-                op_cuts.push(cut);
-                slot_cuts.push(ops[cut].slot as usize);
-            }
-        }
-        let mut op_chunks: Vec<&[PatchOp]> = Vec::with_capacity(op_cuts.len() + 1);
-        let mut prev = 0usize;
-        for &c in &op_cuts {
-            op_chunks.push(&ops[prev..c]);
-            prev = c;
-        }
-        op_chunks.push(&ops[prev..]);
-        rayon::for_each_chunk_mut(&mut self.postings, &slot_cuts, |ci, base, chunk| {
-            for op in op_chunks[ci] {
-                let list = &mut chunk[op.slot as usize - base];
-                if op.insert {
-                    list.push((op.pos, op.weight));
-                } else if let Some(at) = list.iter().position(|&(p, _)| p == op.pos) {
-                    // A remove op always finds its entry by construction;
-                    // if not, there is nothing to remove — degrade, don't
-                    // poison the whole shard with a panic.
-                    let _ = list.swap_remove(at);
-                }
-            }
-        });
-    }
-
-    /// FNV-1a 64 digest of the index's full physical layout: the
-    /// member→slot assignment, every posting list's exact order and
-    /// weight bit patterns, the id-order table and the posting mass.
-    /// Two indexes with equal digests are byte-identical, not merely
-    /// rank-equal — the oracle the sharded-update tests check against
-    /// serial patching and cold rebuilds.
+    /// FNV-1a 64 digest of the index's layout: every non-empty posting
+    /// list with its member id, entry order and weight bit patterns, the
+    /// id-order table and the posting mass. The layout is canonical, so
+    /// this is a function of the candidate signatures alone: a patched
+    /// index and a cold [`build_owned`](Self::build_owned) over the same
+    /// signatures digest equally.
     #[must_use]
     pub fn layout_digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -380,13 +176,11 @@ impl<'a> PostingsIndex<'a> {
                 h = h.wrapping_mul(0x0100_0000_01b3);
             }
         };
-        let mut members: Vec<(NodeId, u32)> = self.slot_of.iter().map(|(&u, &s)| (u, s)).collect();
-        members.sort_unstable();
-        for (u, s) in members {
-            fold(u.index() as u64);
-            fold(u64::from(s));
-        }
-        for list in &self.postings {
+        for (u, list) in self.postings.iter().enumerate() {
+            if list.is_empty() {
+                continue;
+            }
+            fold(u as u64);
             fold(list.len() as u64);
             for &(pos, w) in list {
                 fold(u64::from(pos));
@@ -398,120 +192,6 @@ impl<'a> PostingsIndex<'a> {
         }
         fold(self.posting_mass as u64);
         h
-    }
-
-    /// Exports the index's physical layout — exactly what
-    /// [`layout_digest`](Self::layout_digest) fingerprints: the
-    /// member→slot assignment (sorted by member for determinism) and
-    /// every posting list verbatim. Together with the candidate set this
-    /// is sufficient to reconstruct the index byte-identically via
-    /// [`from_layout`](Self::from_layout); scalars, id order and posting
-    /// mass are derived.
-    ///
-    /// An *exported-then-restored* index matters because a patched
-    /// layout is not the layout a cold rebuild would produce (slot
-    /// allocation and `swap_remove` order are history-dependent), so a
-    /// crash-recovered index must restore the physical layout, not
-    /// rebuild it.
-    #[must_use]
-    pub fn export_layout(&self) -> IndexLayout {
-        let mut members: Vec<(NodeId, u32)> = self.slot_of.iter().map(|(&u, &s)| (u, s)).collect();
-        members.sort_unstable();
-        IndexLayout {
-            members,
-            postings: self.postings.clone(),
-        }
-    }
-
-    /// Reconstructs an index byte-identically from a candidate set and
-    /// an exported layout: `restored.layout_digest() ==
-    /// original.layout_digest()`.
-    ///
-    /// # Errors
-    /// Validates the layout against the candidate set — slot bijection,
-    /// posting positions in range, every entry present in (and
-    /// bit-equal to) its candidate's signature, total mass accounted —
-    /// and returns a description of the first violation instead of
-    /// panicking (this runs on the recovery path).
-    pub fn from_layout(
-        candidates: SignatureSet,
-        layout: IndexLayout,
-    ) -> Result<PostingsIndex<'static>, String> {
-        let IndexLayout { members, postings } = layout;
-        if members.len() != postings.len() {
-            return Err(format!(
-                "index layout: {} members but {} posting lists",
-                members.len(),
-                postings.len()
-            ));
-        }
-        let mut slot_of: FxHashMap<NodeId, u32> = FxHashMap::default();
-        let mut seen_slot = vec![false; postings.len()];
-        let mut last: Option<NodeId> = None;
-        for &(u, s) in &members {
-            if last.is_some_and(|p| p >= u) {
-                return Err("index layout: members not strictly ascending".into());
-            }
-            last = Some(u);
-            let Some(slot_seen) = seen_slot.get_mut(s as usize) else {
-                return Err(format!("index layout: slot {s} out of range"));
-            };
-            if std::mem::replace(slot_seen, true) {
-                return Err(format!("index layout: slot {s} assigned twice"));
-            }
-            slot_of.insert(u, s);
-        }
-        // Every posting entry must be backed by the candidate's actual
-        // signature, bit for bit, each candidate at most once per slot,
-        // and the totals must account for every signature member.
-        let n = candidates.len();
-        let subjects = candidates.subjects();
-        let mut posting_mass = 0usize;
-        for &(u, s) in &members {
-            let list = &postings[s as usize];
-            let mut prev_pos: Vec<u32> = Vec::with_capacity(list.len());
-            for &(pos, w) in list {
-                if pos as usize >= n {
-                    return Err(format!("index layout: posting position {pos} out of range"));
-                }
-                if prev_pos.contains(&pos) {
-                    return Err(format!(
-                        "index layout: candidate {pos} appears twice in slot of {u}"
-                    ));
-                }
-                prev_pos.push(pos);
-                let sig = candidates
-                    .get(subjects[pos as usize])
-                    .ok_or_else(|| format!("index layout: no signature at position {pos}"))?;
-                if sig.get(u).map(f64::to_bits) != Some(w.to_bits()) {
-                    return Err(format!(
-                        "index layout: posting ({u}, {w}) not backed by candidate {pos}"
-                    ));
-                }
-                posting_mass += 1;
-            }
-        }
-        let expected_mass: usize = candidates.iter().map(|(_, sig)| sig.len()).sum();
-        if posting_mass != expected_mass {
-            return Err(format!(
-                "index layout: posting mass {posting_mass} != total signature members {expected_mass}"
-            ));
-        }
-        let scalars = candidates
-            .iter()
-            .map(|(_, sig)| SigScalars::of(sig))
-            .collect();
-        let mut id_order: Vec<u32> = (0..n as u32).collect();
-        id_order.sort_unstable_by_key(|&p| subjects[p as usize]);
-        Ok(PostingsIndex {
-            candidates: Cow::Owned(candidates),
-            scalars,
-            id_order,
-            slot_of,
-            postings,
-            posting_mass,
-            patch_ops: Vec::new(),
-        })
     }
 
     /// The candidate set the index was built over (including any
@@ -732,12 +412,21 @@ impl<'a> PostingsIndex<'a> {
     fn sweep(&self, dist: &dyn BatchDistance, query: &Signature, ws: &mut MatchWorkspace) {
         ws.begin(self.len());
         for (u, wq) in query.iter() {
-            let Some(&s) = self.slot_of.get(&u) else {
-                continue;
-            };
-            dist.accumulate_list(wq, &self.postings[s as usize], ws);
+            if let Some(list) = self.postings.get(u.index()) {
+                dist.accumulate_list(wq, list, ws);
+            }
         }
     }
+}
+
+/// The posting list of member `u`, growing the dense slot table to reach
+/// it.
+fn slot_mut(postings: &mut Vec<Vec<(u32, f64)>>, u: NodeId) -> &mut Vec<(u32, f64)> {
+    let slot = u.index();
+    if slot >= postings.len() {
+        postings.resize_with(slot + 1, Vec::new);
+    }
+    &mut postings[slot]
 }
 
 #[cfg(test)]
@@ -745,6 +434,10 @@ mod tests {
     use super::*;
     use comsig_core::distance::{all_distances, Jaccard};
     use comsig_core::Signature;
+    use comsig_graph::ShardPlan;
+    use proptest::prelude::*;
+
+    use crate::ann::SubjectMatcher;
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
@@ -772,6 +465,10 @@ mod tests {
             .collect();
         SignatureSet::new(subjects, sigs)
     }
+
+    /// One patch round: `(subject, members)` per dirty subject, an empty
+    /// member list standing for an empty signature.
+    type Round = Vec<(usize, Vec<(usize, f64)>)>;
 
     /// Candidates in deliberately non-id construction order, with an
     /// empty signature and heavy member overlap.
@@ -861,7 +558,6 @@ mod tests {
     /// introduce brand-new member nodes, and repeated re-updates.
     #[test]
     fn update_matches_full_rebuild() {
-        type Round = Vec<(usize, Vec<(usize, f64)>)>;
         let mut idx = PostingsIndex::build_owned(candidates());
         let dirty_rounds: Vec<Round> = vec![
             // Overlapping members + a new member node 30.
@@ -904,143 +600,78 @@ mod tests {
         }
     }
 
-    /// The sharded update must leave the index **byte-identical** — same
-    /// slot assignment, same within-list order, same weight bits — to
-    /// the serial update at every thread count, across rounds that
-    /// overlap members, empty signatures, introduce new member nodes and
-    /// re-update candidates.
-    #[test]
-    fn update_with_layout_byte_identical_across_plans() {
-        type Round = Vec<(usize, Vec<(usize, f64)>)>;
-        let dirty_rounds: Vec<Round> = vec![
-            vec![(7, vec![(11, 3.0), (30, 1.0)]), (5, vec![(10, 2.0)])],
-            vec![(1, vec![]), (3, vec![(12, 1.5), (31, 0.25)])],
-            vec![(7, vec![(10, 0.5)]), (0, vec![(30, 2.0), (32, 1.0)])],
-        ];
-        let as_dirty = |round: &Round| {
-            round
-                .iter()
-                .map(|(v, m)| {
-                    let s = if m.is_empty() {
-                        Signature::empty()
-                    } else {
-                        sig(m)
-                    };
-                    (n(*v), s)
-                })
-                .collect::<Vec<_>>()
-        };
-        // Serial reference: the existing `update` path.
-        let mut serial = PostingsIndex::build_owned(candidates());
-        let mut serial_digests = Vec::new();
-        for round in &dirty_rounds {
-            serial.update(as_dirty(round));
-            serial_digests.push(serial.layout_digest());
-        }
-        for threads in [1usize, 2, 4, 8] {
-            let plan = ShardPlan::new(threads);
+    /// Random patch rounds of `(plan choice, dirty subjects)`: they empty
+    /// signatures, revive empty ones, bring in member ids above the
+    /// current maximum and re-update candidates.
+    fn rounds() -> impl Strategy<Value = Vec<(usize, Round)>> {
+        // Mostly overlapping members, sometimes far above the current
+        // maximum member id.
+        let member = (0u8..4, 10usize..16, 16usize..400, 0.25f64..4.0)
+            .prop_map(|(far, near, above, w)| (if far == 0 { above } else { near }, w));
+        let members = (0u8..5, collection::vec(member, 1..6)).prop_map(|(empty, m)| {
+            if empty == 0 {
+                Vec::new()
+            } else {
+                m
+            }
+        });
+        let subject = (0usize..5).prop_map(|i| [0, 1, 3, 5, 7][i]);
+        let round = (0usize..3, collection::vec((subject, members), 0..6));
+        collection::vec(round, 1..6)
+    }
+
+    proptest! {
+        /// A patched index equals a cold build over the same signatures
+        /// after every round — equal layout digest and bit-equal
+        /// rankings for every distance — with the rounds applied through
+        /// the matcher seam under serial and sharded plans.
+        #[test]
+        fn patched_index_equals_cold_build(rounds in rounds()) {
             let mut idx = PostingsIndex::build_owned(candidates());
-            for (round, want) in dirty_rounds.iter().zip(&serial_digests) {
-                idx.update_with(as_dirty(round), &plan);
-                assert_eq!(
-                    idx.layout_digest(),
-                    *want,
-                    "threads={threads}: sharded layout diverged from serial"
-                );
+            let mut ws_a = MatchWorkspace::new();
+            let mut ws_b = MatchWorkspace::new();
+            for (plan, round) in rounds {
+                let dirty = round
+                    .iter()
+                    .map(|(v, m)| {
+                        let s = if m.is_empty() { Signature::empty() } else { sig(m) };
+                        (n(*v), s)
+                    })
+                    .collect();
+                let plan = ShardPlan::new([1, 2, 8][plan]);
+                SubjectMatcher::patch(&mut idx, dirty, &plan);
+                let cold = PostingsIndex::build_owned(idx.candidates().clone());
+                prop_assert_eq!(idx.layout_digest(), cold.layout_digest());
+                prop_assert_eq!(idx.posting_mass(), cold.posting_mass());
+                let queries = [
+                    sig(&[(10, 1.0), (11, 1.0)]),
+                    sig(&[(12, 0.5), (17, 2.0), (399, 1.0)]),
+                    Signature::empty(),
+                ];
+                for dist in all_distances() {
+                    for q in &queries {
+                        let a = idx.rank_with(dist.as_ref(), q, &mut ws_a);
+                        let b = cold.rank_with(dist.as_ref(), q, &mut ws_b);
+                        prop_assert_eq!(a.len(), b.len());
+                        for (x, y) in a.entries().iter().zip(b.entries()) {
+                            prop_assert_eq!(x.0, y.0, "{}", dist.name());
+                            prop_assert_eq!(x.1.to_bits(), y.1.to_bits(), "{}", dist.name());
+                        }
+                    }
+                }
             }
         }
-    }
-
-    /// Sharded updates with more threads than slots, and a one-subject
-    /// dirty set, must still match the serial layout.
-    #[test]
-    fn update_with_degenerate_shapes() {
-        for threads in [2usize, 8, 32] {
-            let plan = ShardPlan::new(threads);
-            let mut a = PostingsIndex::build_owned(candidates());
-            let mut b = PostingsIndex::build_owned(candidates());
-            a.update([(n(5), sig(&[(11, 1.25)]))]);
-            b.update_with([(n(5), sig(&[(11, 1.25)]))], &plan);
-            assert_eq!(a.layout_digest(), b.layout_digest(), "threads={threads}");
-            // Empty dirty set: no-op on both paths.
-            let before = b.layout_digest();
-            b.update_with(std::iter::empty(), &plan);
-            assert_eq!(b.layout_digest(), before);
-        }
-    }
-
-    /// An exported-then-restored index must be byte-identical to the
-    /// original — including after patched updates whose layout differs
-    /// from a cold rebuild.
-    #[test]
-    fn layout_export_restore_byte_identical() {
-        let mut idx = PostingsIndex::build_owned(candidates());
-        idx.update([
-            (n(7), sig(&[(11, 3.0), (30, 1.0)])),
-            (n(5), sig(&[(10, 2.0)])),
-        ]);
-        idx.update([(n(1), Signature::empty()), (n(3), sig(&[(12, 1.5)]))]);
-        let layout = idx.export_layout();
-        let restored =
-            PostingsIndex::from_layout(idx.candidates().clone(), layout.clone()).unwrap();
-        assert_eq!(restored.layout_digest(), idx.layout_digest());
-        assert_eq!(restored.export_layout(), layout);
-        // The snapshot codec round-trips the layout exactly.
-        let mut enc = Enc::new();
-        layout.encode(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut dec = Dec::new(&bytes);
-        assert_eq!(IndexLayout::decode(&mut dec).unwrap(), layout);
-        dec.finish("layout").unwrap();
-        // The restored index ranks bit-identically too.
-        let q = sig(&[(10, 1.0), (11, 1.0)]);
-        let a = idx.rank(&Jaccard, &q);
-        let b = restored.rank(&Jaccard, &q);
-        for (x, y) in a.entries().iter().zip(b.entries()) {
-            assert_eq!(x.0, y.0);
-            assert_eq!(x.1.to_bits(), y.1.to_bits());
-        }
-    }
-
-    /// Corrupt layouts come back as typed errors, never panics.
-    #[test]
-    fn corrupt_layout_rejected_with_error() {
-        let idx = PostingsIndex::build_owned(candidates());
-        let good = idx.export_layout();
-        let cands = || idx.candidates().clone();
-        let mut extra_slot = good.clone();
-        extra_slot.postings.push(Vec::new());
-        assert!(PostingsIndex::from_layout(cands(), extra_slot).is_err());
-        let mut dup_slot = good.clone();
-        if dup_slot.members.len() >= 2 {
-            dup_slot.members[1].1 = dup_slot.members[0].1;
-        }
-        assert!(PostingsIndex::from_layout(cands(), dup_slot).is_err());
-        let mut bad_weight = good.clone();
-        if let Some(e) = bad_weight
-            .postings
-            .iter_mut()
-            .find_map(|list| list.iter_mut().next())
-        {
-            e.1 += 1.0;
-        }
-        assert!(PostingsIndex::from_layout(cands(), bad_weight).is_err());
-        let mut dropped_entry = good.clone();
-        for list in &mut dropped_entry.postings {
-            if !list.is_empty() {
-                list.pop();
-                break;
-            }
-        }
-        assert!(PostingsIndex::from_layout(cands(), dropped_entry).is_err());
-        assert!(PostingsIndex::from_layout(cands(), good).is_ok());
     }
 
     #[test]
     #[should_panic(expected = "not a candidate")]
-    fn update_with_unknown_subject_panics() {
+    fn patch_unknown_subject_panics() {
         let mut idx = PostingsIndex::build_owned(candidates());
-        idx.update_with([(n(99), Signature::empty())], &ShardPlan::new(4));
+        SubjectMatcher::patch(
+            &mut idx,
+            vec![(n(99), Signature::empty())],
+            &ShardPlan::new(4),
+        );
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!    work to shards exactly as the previous `par_iter` batch paths
 //!    did.
 //!
-//! Every consumer (`SignaturePipeline`, `PostingsIndex::update_with`,
-//! the detectors, `comsig stream --threads`) takes a plan explicitly
+//! Every consumer (`SignaturePipeline`, the detectors,
+//! `comsig stream --threads`) takes a plan explicitly
 //! instead of reading ad-hoc globals, so one config struct pins the
 //! thread count end to end.
 

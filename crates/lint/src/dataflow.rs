@@ -20,7 +20,6 @@ use crate::rules::Diagnostic;
 pub const PANIC_ROOTS: &[&str] = &[
     "SignaturePipeline::advance",
     "PostingsIndex::update",
-    "PostingsIndex::update_with",
     "merge_score",
     // The tier seam: both streaming detectors drive a boxed tier and
     // matcher, and the sketch tier's advance is a hot path of its own
@@ -377,9 +376,8 @@ fn sorted_later(fm: &FileModel, name: &str, from: usize, body_close: usize) -> b
 }
 
 /// rule `shard-float-order`: float `+=`-style accumulation inside the
-/// shard kernels (`scope_chunks` / `for_each_chunk_mut` closures, or a
-/// `signature_chunk` impl writing through `self`) into state that
-/// outlives the shard. Escaping float sums must be reduced in subject
+/// shard kernels (`scope_chunks` closures, or a `signature_chunk` impl
+/// writing through `self`) into state that outlives the shard. Escaping float sums must be reduced in subject
 /// order (DESIGN.md §12).
 fn shard_float_order(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
     for (fi, def) in ws.fns.iter().enumerate() {
@@ -392,11 +390,11 @@ fn shard_float_order(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
         };
         let locals = ws.local_hints(fi);
         let toks = &fm.tokens;
-        // Closure-based kernels: every `scope_chunks(…)` /
-        // `for_each_chunk_mut(…)` argument list in the body.
+        // Closure-based kernels: every `scope_chunks(…)` argument list
+        // in the body.
         for j in (open + 1)..close {
             if toks[j].kind == TokenKind::Ident
-                && matches!(fm.text(j), "scope_chunks" | "for_each_chunk_mut")
+                && fm.text(j) == "scope_chunks"
                 && toks
                     .get(j + 1)
                     .is_some_and(|t| t.text(&fm.src.masked_text) == "(")

@@ -27,8 +27,8 @@
 //! * `unordered-iter` — hash-container iteration must not feed ordered
 //!   sinks (Vec push, digest update, serialized output) without a sort.
 //! * `shard-float-order` — float accumulation must not escape
-//!   `scope_chunks`/`for_each_chunk_mut`/`signature_chunk` shard kernels
-//!   without a subject-order reduction.
+//!   `scope_chunks`/`signature_chunk` shard kernels without a
+//!   subject-order reduction.
 //! * `panic-path` — no panicking constructs reachable from the streaming
 //!   roots (reported with the full call chain).
 //! * `alloc-in-hot-loop` — no allocation inside loops of hot-path fns.

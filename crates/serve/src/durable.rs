@@ -558,12 +558,12 @@ mod tests {
             third.digest, digests_a[2],
             "post-recovery advance must be bit-identical"
         );
-        // The recovered postings layout is byte-identical, not merely
-        // digest-equal.
+        // The recovered postings index has the uninterrupted run's
+        // layout, not merely its rankings.
         let layout = |s: &DurableState<'_>| {
-            let mut enc = comsig_core::persist::Enc::new();
-            s.live().det.matcher().encode_state(&mut enc);
-            enc.into_bytes()
+            let mut h = comsig_core::persist::Fnv::new();
+            s.live().det.matcher().digest_state(&mut h);
+            h.finish()
         };
         assert_eq!(layout(&b), layout(&a));
     }
@@ -692,6 +692,44 @@ mod tests {
         // The daemon is still healthy and writable.
         assert!(s.degraded().is_none());
         assert!(s.advance().is_ok());
+    }
+
+    /// A data dir written by a build with the previous snapshot format
+    /// (v2, which carried the postings layout) opens as typed corruption
+    /// naming the expected magic, never as a panic or a misread body.
+    #[test]
+    fn previous_snapshot_format_is_typed_corruption() {
+        let scheme = TopTalkers;
+        let dist = SHel;
+        let (interner, subjects, lines) = seed();
+        let dir = temp_dir("v2-snapshot");
+        let (mut s, _) = DurableState::open(
+            &scheme,
+            &dist,
+            config(),
+            &dir,
+            interner.clone(),
+            subjects.clone(),
+        )
+        .unwrap();
+        s.ingest_lines(&lines.join("\n")).unwrap();
+        let _ = s.advance().unwrap();
+        s.snapshot_now().unwrap();
+        drop(s);
+        let body = match persist::read_atomic(&snapshot_file(&dir), SNAPSHOT_MAGIC) {
+            persist::LoadOutcome::Hit(body) => body,
+            _ => panic!("fresh snapshot must load"),
+        };
+        persist::write_atomic(&snapshot_file(&dir), "comsig-serve-snapshot v2", &body).unwrap();
+        let opened = DurableState::open(&scheme, &dist, config(), &dir, interner, subjects);
+        match opened {
+            Err(ServeError::Corrupt(reason)) => assert!(
+                reason.contains(SNAPSHOT_MAGIC),
+                "reason must name the expected magic: {reason}"
+            ),
+            Err(e) => panic!("expected typed corruption, got {e}"),
+            Ok(_) => panic!("a v2 snapshot must not open"),
+        };
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! * every accepted event batch and every window advance is appended to
 //!   the WAL (length + FNV-1a digest framed) and fsynced **before** the
 //!   daemon acknowledges it;
-//! * a snapshot atomically captures the full in-memory state (windower,
-//!   graph, both signature buffers, the patched index layout, counters)
-//!   and rotates the WAL to a fresh epoch.
+//! * a snapshot atomically captures the durable in-memory state
+//!   (windower, tier state, both signature buffers, counters) and
+//!   rotates the WAL to a fresh epoch. The matcher is not stored: it is
+//!   a function of the signatures, and recovery rebuilds it.
 //!
 //! Recovery loads the snapshot (or the genesis state), replays the WAL
 //! tail — truncating a torn tail at the last valid record — and

@@ -7,13 +7,12 @@
 //! rotation overwrites. The body carries the config stamp, the frozen
 //! label space, the complete windower state, then the detector in one
 //! tier-agnostic sequence — the tier tag, the tier's own state
-//! ([`SignatureTier::encode_state`](comsig_core::SignatureTier::encode_state)),
-//! the previous signature buffer, and the matcher's history-dependent
-//! state (the exact tier's patched postings layout; nothing for the LSH
-//! front, which is rebuilt at resume) — then the counters, the
+//! ([`SignatureTier::encode_state`](comsig_core::SignatureTier::encode_state))
+//! and the previous signature buffer — then the counters, the
 //! query-visible residue of the last advance, the WAL epoch this
 //! snapshot supersedes, and the state digest at capture, which decoding
-//! recomputes and verifies.
+//! recomputes and verifies. No matcher state is stored: both matchers
+//! are functions of the tier's signatures, and decoding rebuilds them.
 
 use std::path::{Path, PathBuf};
 
@@ -25,8 +24,9 @@ use comsig_graph::{Interner, NodeId, SlidingWindower};
 use crate::config::{ServeConfig, ServeError};
 use crate::state::{build_detector, LastWindow, LiveState, Origin};
 
-/// Magic line of the snapshot container (v2: tier-tagged body).
-pub const SNAPSHOT_MAGIC: &str = "comsig-serve-snapshot v2";
+/// Magic line of the snapshot container (v3: tier-tagged body, no
+/// matcher section).
+pub const SNAPSHOT_MAGIC: &str = "comsig-serve-snapshot v3";
 
 /// The snapshot path inside a data directory.
 #[must_use]
@@ -63,7 +63,6 @@ pub fn encode_snapshot(config: &ServeConfig, live: &LiveState<'_>, wal_epoch: u6
     enc.u8(config.tier.tag());
     live.det.tier().encode_state(&mut enc);
     persist::encode_signature_set(&mut enc, live.det.prev_signatures());
-    live.det.matcher().encode_state(&mut enc);
     enc.u64(live.windows);
     enc.u64(live.ingested_events);
     match &live.last {
@@ -325,13 +324,14 @@ mod tests {
     /// Byte-compat pins for existing data directories: the FNV-1a of the
     /// snapshot bytes and the state digest of a fixed seeded run, on both
     /// tiers. The run is three windows in, so the exact tier's postings
-    /// layout has been patched rather than freshly built. A changed
-    /// constant means snapshots written by earlier builds no longer load.
+    /// index has been patched rather than freshly built; its canonical
+    /// layout still enters the digest. A changed constant means
+    /// snapshots written by earlier builds no longer load.
     #[test]
     fn snapshot_bytes_and_digest_are_pinned() {
         let scheme = TopTalkers;
         for (config, want_bytes, want_digest) in [
-            (test_config(), 0xb864_7d68_8283_e4e9, 0x9419_796f_7159_e230),
+            (test_config(), 0xc007_90c7_eaf5_c181, 0x9a82_89e2_888b_fcab),
             (
                 sketch_config(),
                 0xe92d_4b0e_9390_d1ce,

@@ -12,12 +12,11 @@
 //! tier's durable state (exact: graph and current signatures; sketch:
 //! the sketches, which embed the current signatures), the previous
 //! signature buffer and the full windower state into one FNV-1a digest,
-//! then the matcher's history-dependent state: the exact tier's physical
-//! postings layout. The LSH front is derived from signatures and
-//! [`AnnConfig`](comsig_eval::ann::AnnConfig), so it never enters the
-//! digest. An uninterrupted run and a kill-and-resume run must produce
-//! equal digests at every window boundary — the WAL records the expected
-//! digest per advance and recovery verifies it.
+//! then the matcher's digest: the exact tier's postings layout digest,
+//! which is a function of the current signatures alone; the LSH front
+//! adds nothing. An uninterrupted run and a kill-and-resume run must
+//! produce equal digests at every window boundary — the WAL records the
+//! expected digest per advance and recovery verifies it.
 
 use comsig_apps::anomaly::AnomalyScore;
 use comsig_apps::masquerade::DetectorConfig;
@@ -25,9 +24,9 @@ use comsig_apps::stream::TieredMasquerade;
 use comsig_core::distance::BatchDistance;
 use comsig_core::persist::{self, Dec, Enc, Fnv};
 use comsig_core::pipeline::{DeltaScheme, SignaturePipeline};
-use comsig_core::SignatureTier;
+use comsig_core::{SignatureSet, SignatureTier};
 use comsig_eval::ann::{AnnIndex, SubjectMatcher};
-use comsig_eval::index::{IndexLayout, PostingsIndex};
+use comsig_eval::index::PostingsIndex;
 use comsig_graph::{
     CommGraph, EdgeEvent, Interner, NodeId, ShardPlan, SlidingWindower, WindowDelta,
 };
@@ -173,7 +172,7 @@ impl<'a> LiveState<'a> {
 
     /// The bit-identity oracle: an FNV-1a digest over the tier's durable
     /// state, the previous signatures and the windower, then the
-    /// matcher's history-dependent state and the monotone counters.
+    /// matcher's digest and the monotone counters.
     /// Equal digests mean equal service state, byte for byte. The
     /// encoders stream straight into the hash, so no byte of the state
     /// is copied; [`state_digest_reference`](Self::state_digest_reference)
@@ -199,7 +198,7 @@ impl<'a> LiveState<'a> {
         self.finish_digest(enc.into_digest())
     }
 
-    /// Folds the matcher state and the counters after the encoded state.
+    /// Folds the matcher digest and the counters after the encoded state.
     fn finish_digest(&self, mut h: Fnv) -> u64 {
         self.det.matcher().digest_state(&mut h);
         h.write_u64(self.windows);
@@ -218,23 +217,22 @@ pub enum Origin<'s, 'b> {
         num_nodes: usize,
     },
     /// A snapshot body positioned just past the tier tag: tier state,
-    /// previous signatures, matcher state, as
+    /// then previous signatures, as
     /// [`encode_snapshot`](crate::snapshot::encode_snapshot) wrote them.
     Snapshot(&'s mut Dec<'b>),
 }
 
-/// Builds or decodes the configured (tier, matcher) pair and assembles
-/// the detector over it — the one place above the tier seam that knows
-/// which tiers exist. Serve genesis, snapshot recovery and
-/// `comsig stream` all construct through it.
+/// Builds or decodes the configured tier, builds its matcher over the
+/// tier's signatures and assembles the detector — the one place above
+/// the tier seam that knows which tiers exist. Serve genesis, snapshot
+/// recovery and `comsig stream` all construct through it.
 ///
-/// * **exact**: a [`SignaturePipeline`] and a [`PostingsIndex`]. The
-///   index's patched layout is history-dependent, so a snapshot carries
-///   it and resume restores it verbatim; a cold rebuild would change the
-///   state digest.
-/// * **sketch**: a [`SketchTier`] and an [`AnnIndex`]. The LSH front is a
-///   pure function of the signatures and `config.ann`, so it is always
-///   rebuilt.
+/// * **exact**: a [`SignaturePipeline`] and a [`PostingsIndex`].
+/// * **sketch**: a [`SketchTier`] and an [`AnnIndex`] banded by
+///   `config.ann`.
+///
+/// Both matchers are pure functions of the signatures, so genesis and
+/// resume build them the same way and a snapshot never carries them.
 ///
 /// # Errors
 /// [`ServeError::Config`] for a non-sketchable scheme on the sketch
@@ -248,7 +246,7 @@ pub fn build_detector<'a>(
 ) -> Result<TieredMasquerade<'a>, ServeError> {
     let cfg = detector_config(config);
     let plan = plan_of(config);
-    let (tier, matcher, prev): (Box<dyn SignatureTier + 'a>, Box<dyn SubjectMatcher>, _) =
+    let (tier, prev): (Box<dyn SignatureTier + 'a>, Option<SignatureSet>) =
         match (config.tier, origin) {
             (
                 TierSpec::Exact,
@@ -259,20 +257,15 @@ pub fn build_detector<'a>(
             ) => {
                 let graph = CommGraph::empty(num_nodes);
                 let pipeline = SignaturePipeline::with_plan(scheme, graph, subjects, cfg.k, plan);
-                let current = pipeline.signatures().clone();
-                let index = PostingsIndex::build_owned(current.clone());
-                (Box::new(pipeline), Box::new(index), current)
+                (Box::new(pipeline), None)
             }
             (TierSpec::Exact, Origin::Snapshot(dec)) => {
                 let graph = persist::decode_graph(dec)?;
                 let current = persist::decode_signature_set(dec)?;
                 let prev = persist::decode_signature_set(dec)?;
-                let layout = IndexLayout::decode(dec)?;
-                let index = PostingsIndex::from_layout(current.clone(), layout)
-                    .map_err(ServeError::Corrupt)?;
                 let pipeline = SignaturePipeline::resume(scheme, graph, current, cfg.k, plan)
                     .map_err(ServeError::Corrupt)?;
-                (Box::new(pipeline), Box::new(index), prev)
+                (Box::new(pipeline), Some(prev))
             }
             (
                 TierSpec::Sketch,
@@ -283,9 +276,7 @@ pub fn build_detector<'a>(
             ) => {
                 let sketch = config.sketch_scheme()?;
                 let tier = SketchTier::new(sketch, config.sketch, subjects, cfg.k, num_nodes);
-                let ann = AnnIndex::build(tier.signatures(), config.ann);
-                let current = tier.signatures().clone();
-                (Box::new(tier), Box::new(ann), current)
+                (Box::new(tier), None)
             }
             (TierSpec::Sketch, Origin::Snapshot(dec)) => {
                 let tier = SketchTier::decode_state(dec)?;
@@ -298,10 +289,15 @@ pub fn build_detector<'a>(
                     ));
                 }
                 let prev = persist::decode_signature_set(dec)?;
-                let ann = AnnIndex::build(tier.signatures(), config.ann);
-                (Box::new(tier), Box::new(ann), prev)
+                (Box::new(tier), Some(prev))
             }
         };
+    let current = tier.signatures().clone();
+    let prev = prev.unwrap_or_else(|| current.clone());
+    let matcher: Box<dyn SubjectMatcher> = match config.tier {
+        TierSpec::Exact => Box::new(PostingsIndex::build_owned(current)),
+        TierSpec::Sketch => Box::new(AnnIndex::build_owned(current, config.ann)),
+    };
     TieredMasquerade::from_parts(tier, matcher, cfg, plan, prev).map_err(ServeError::Corrupt)
 }
 
