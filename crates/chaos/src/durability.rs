@@ -13,6 +13,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use comsig_core::distance::SHel;
+use comsig_core::persist::WAL_HEADER;
 use comsig_core::scheme::TopTalkers;
 use comsig_graph::{EdgeEvent, Interner, NodeId};
 
@@ -351,9 +352,10 @@ pub fn serve_wal_bitflip(seed: u64) -> Result<String, String> {
     let wal = dir.path().join("wal.0.log");
     let mut bytes = fs::read(&wal).map_err(err)?;
     // Flip one payload bit somewhere in the middle of the log, varying
-    // the position with the seed (never the first frame header, so at
-    // least one record survives).
-    let pos = 13 + (seed as usize % (bytes.len() / 2));
+    // the position with the seed (never the WAL header or the first
+    // frame header, so the log scans and at least one record survives).
+    let header = WAL_HEADER.len();
+    let pos = header + 13 + (seed as usize % ((bytes.len() - header) / 2));
     bytes[pos] ^= 0x40;
     fs::write(&wal, &bytes).map_err(err)?;
 

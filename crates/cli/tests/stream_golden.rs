@@ -1,6 +1,7 @@
 //! Golden transcripts for `comsig stream`: the full output of both
-//! tasks on both tiers over one small fixed event file. Any change to
-//! these bytes is a user-visible change to the streaming CLI.
+//! tasks on both tiers over one small fixed event file, plus both tasks
+//! on overlapping and gapped windows. Any change to these bytes is a
+//! user-visible change to the streaming CLI.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -26,10 +27,11 @@ fn event_file() -> PathBuf {
     path
 }
 
-fn stream(events: &Path, task: &str, tier: &str) -> String {
+fn stream(events: &Path, task: &str, tier: &str, slide: &str) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_comsig"))
         .args(["stream", "--input", events.to_str().unwrap()])
-        .args(["--window-width", "12", "--k", "3", "--scheme", "tt"])
+        .args(["--window-width", "12", "--slide", slide])
+        .args(["--k", "3", "--scheme", "tt"])
         .args(["--task", task, "--tier", tier, "--threads", "2"])
         .output()
         .expect("run comsig stream");
@@ -110,7 +112,100 @@ fn stream_output_is_pinned_on_both_tiers_and_tasks() {
         ("anomaly", "sketch", ANOMALY_SKETCH),
         ("masquerade", "sketch", MASQUERADE_SKETCH),
     ] {
-        let got = stream(&events, task, tier);
+        let got = stream(&events, task, tier, "12");
         assert_eq!(got, want, "{task} on the {tier} tier");
+    }
+}
+
+const ANOMALY_OVERLAP: &str = r"streaming anomaly over 6 subjects, scheme TT, dist SHel (width 12, slide 4)
+window [0, 12): 12 edge changes, 6/6 recomputed
+  h0               score = 1.0000
+  h1               score = 1.0000
+  h2               score = 1.0000
+  h3               score = 1.0000
+  h4               score = 1.0000
+window [4, 16): 0 edge changes, 0/6 recomputed
+window [8, 20): 0 edge changes, 0/6 recomputed
+window [12, 24): 0 edge changes, 0/6 recomputed
+window [16, 28): 4 edge changes, 2/6 recomputed
+  h1               score = 0.4523
+  h0               score = 0.3072
+window [20, 32): 4 edge changes, 2/6 recomputed
+  h1               score = 0.8758
+  h0               score = 0.6536
+window [24, 36): 0 edge changes, 0/6 recomputed
+window [28, 40): 4 edge changes, 2/6 recomputed
+  h0               score = 0.4523
+  h1               score = 0.3072
+window [32, 44): 4 edge changes, 2/6 recomputed
+  h0               score = 0.8758
+  h1               score = 0.6536
+window [36, 48): 0 edge changes, 0/6 recomputed
+stream drained: 0 invalid, 0 late, 0 gap-dropped events
+";
+
+const MASQUERADE_OVERLAP: &str = r"streaming masquerade over 6 subjects, scheme TT, dist SHel (width 12, slide 4)
+window [0, 12): 12 edge changes, 6/6 recomputed, delta = 0.0000, 6 re-paired
+  h0 -> h1
+  h1 -> h0
+  h2 -> h0
+  h3 -> h0
+  h4 -> h0
+  h5 -> h0
+window [4, 16): 0 edge changes, 0/6 recomputed, delta = 0.2000, 0 re-paired
+window [8, 20): 0 edge changes, 0/6 recomputed, delta = 0.2000, 0 re-paired
+window [12, 24): 0 edge changes, 0/6 recomputed, delta = 0.2000, 0 re-paired
+window [16, 28): 4 edge changes, 2/6 recomputed, delta = 0.1747, 0 re-paired
+window [20, 32): 4 edge changes, 2/6 recomputed, delta = 0.1490, 0 re-paired
+window [24, 36): 0 edge changes, 0/6 recomputed, delta = 0.2000, 0 re-paired
+window [28, 40): 4 edge changes, 2/6 recomputed, delta = 0.1747, 0 re-paired
+window [32, 44): 4 edge changes, 2/6 recomputed, delta = 0.1490, 0 re-paired
+window [36, 48): 0 edge changes, 0/6 recomputed, delta = 0.2000, 0 re-paired
+stream drained: 0 invalid, 0 late, 0 gap-dropped events
+";
+
+const ANOMALY_GAPPED: &str = r"streaming anomaly over 6 subjects, scheme TT, dist SHel (width 12, slide 18)
+window [0, 12): 12 edge changes, 6/6 recomputed
+  h0               score = 1.0000
+  h1               score = 1.0000
+  h2               score = 1.0000
+  h3               score = 1.0000
+  h4               score = 1.0000
+window [18, 30): 4 edge changes, 2/6 recomputed
+  h1               score = 0.4523
+  h0               score = 0.3072
+window [36, 48): 4 edge changes, 2/6 recomputed
+  h1               score = 0.4523
+  h0               score = 0.3072
+stream drained: 0 invalid, 0 late, 12 gap-dropped events
+";
+
+const MASQUERADE_GAPPED: &str = r"streaming masquerade over 6 subjects, scheme TT, dist SHel (width 12, slide 18)
+window [0, 12): 12 edge changes, 6/6 recomputed, delta = 0.0000, 6 re-paired
+  h0 -> h1
+  h1 -> h0
+  h2 -> h0
+  h3 -> h0
+  h4 -> h0
+  h5 -> h0
+window [18, 30): 4 edge changes, 2/6 recomputed, delta = 0.1747, 0 re-paired
+window [36, 48): 4 edge changes, 2/6 recomputed, delta = 0.1747, 0 re-paired
+stream drained: 0 invalid, 0 late, 12 gap-dropped events
+";
+
+/// Slide 4 keeps two thirds of each window's events into the next, and
+/// slide 18 drops the six time steps between windows; both tasks must
+/// print these bytes.
+#[test]
+fn stream_output_is_pinned_on_overlapping_and_gapped_windows() {
+    let events = event_file();
+    for (task, slide, want) in [
+        ("anomaly", "4", ANOMALY_OVERLAP),
+        ("masquerade", "4", MASQUERADE_OVERLAP),
+        ("anomaly", "18", ANOMALY_GAPPED),
+        ("masquerade", "18", MASQUERADE_GAPPED),
+    ] {
+        let got = stream(&events, task, "exact", slide);
+        assert_eq!(got, want, "{task} at slide {slide}");
     }
 }

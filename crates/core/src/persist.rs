@@ -16,9 +16,10 @@
 //!    `magic + digest + body` to a `.tmp` sibling, fsyncs, and renames
 //!    into place, so a file is either absent, the old version, or
 //!    complete — never torn. [`WalWriter`]/[`scan_wal`] implement an
-//!    append-only log of `[u32 len][u64 digest][payload]` records;
-//!    [`scan_wal`] stops at the first invalid record and reports the
-//!    torn tail so recovery can truncate it.
+//!    append-only log: a [`WAL_HEADER`] line, then
+//!    `[u32 len][u64 digest][payload]` records; [`scan_wal`] rejects a
+//!    file without the header and stops at the first invalid record,
+//!    reporting the torn tail so recovery can truncate it.
 //!
 //! On top of those, the module provides byte encoders for the streaming
 //! state types ([`WindowDelta`], [`WindowerState`], [`CommGraph`],
@@ -31,7 +32,8 @@ use std::io::{self, Write};
 use std::path::Path;
 
 use comsig_graph::{
-    CommGraph, Edge, EdgeChange, NodeId, SlidingWindower, WindowDelta, WindowerState,
+    Aggregate, CommGraph, Edge, EdgeChange, NodeId, SlidingWindower, TimedEvent, WindowDelta,
+    WindowerState,
 };
 
 use crate::signature::{Signature, SignatureSet};
@@ -458,9 +460,14 @@ pub fn read_atomic(path: &Path, magic: &str) -> LoadOutcome {
 /// treated as corruption.
 pub const MAX_WAL_RECORD: u32 = 1 << 30;
 
-/// Append-only writer for a `[u32 len][u64 digest][payload]`-framed
-/// write-ahead log. A record is durable once [`sync`](Self::sync)
-/// returns after its [`append`](Self::append).
+/// The line that opens every WAL file. It versions the framing and the
+/// records inside, so a log written in another format fails to scan
+/// instead of replaying as garbage.
+pub const WAL_HEADER: &str = "comsig-wal v1\n";
+
+/// Append-only writer for a write-ahead log: a [`WAL_HEADER`] line, then
+/// `[u32 len][u64 digest][payload]`-framed records. A record is durable
+/// once [`sync`](Self::sync) returns after its [`append`](Self::append).
 #[derive(Debug)]
 pub struct WalWriter {
     file: fs::File,
@@ -468,23 +475,38 @@ pub struct WalWriter {
 }
 
 impl WalWriter {
-    /// Creates (truncating) a fresh log at `path`.
+    /// Creates (truncating) a fresh log at `path`, its header written and
+    /// synced.
     ///
     /// # Errors
     /// Propagates I/O failures.
     pub fn create(path: &Path) -> io::Result<Self> {
-        let file = fs::File::create(path)?;
-        Ok(WalWriter { file, bytes: 0 })
+        WalWriter::start(fs::File::create(path)?)
+    }
+
+    /// Writes and syncs the header into an empty `file`.
+    fn start(mut file: fs::File) -> io::Result<Self> {
+        file.write_all(WAL_HEADER.as_bytes())?;
+        file.sync_all()?;
+        Ok(WalWriter {
+            file,
+            bytes: WAL_HEADER.len() as u64,
+        })
     }
 
     /// Re-opens an existing log for appending after recovery, first
     /// truncating it to `valid_bytes` (everything past the last valid
-    /// record, as reported by [`scan_wal`], is discarded).
+    /// record, as reported by [`scan_wal`], is discarded). A log whose
+    /// header never fully landed is rewritten from its header.
     ///
     /// # Errors
     /// Propagates I/O failures.
     pub fn resume(path: &Path, valid_bytes: u64) -> io::Result<Self> {
         let file = fs::OpenOptions::new().write(true).open(path)?;
+        if valid_bytes < WAL_HEADER.len() as u64 {
+            file.set_len(0)?;
+            return WalWriter::start(file);
+        }
         file.set_len(valid_bytes)?;
         file.sync_all()?;
         let mut writer = WalWriter {
@@ -570,12 +592,16 @@ pub struct WalScan {
 
 /// Scans a WAL file, stopping at the first invalid record. A missing
 /// file scans as empty and clean (a rotated log that never received a
-/// record). Records after a corrupt one are **not** recovered even if
-/// they frame correctly — a mid-log digest mismatch means the file
+/// record), and so does a file that is a strict prefix of
+/// [`WAL_HEADER`] (a crash while creating it; its bytes are reported as
+/// a torn tail). Records after a corrupt one are **not** recovered even
+/// if they frame correctly — a mid-log digest mismatch means the file
 /// cannot be trusted past that point.
 ///
 /// # Errors
-/// Propagates I/O failures other than `NotFound`.
+/// [`io::ErrorKind::InvalidData`], naming the expected header, for a
+/// file that starts with anything else: a log in another format, never a
+/// torn tail to truncate. Propagates I/O failures other than `NotFound`.
 pub fn scan_wal(path: &Path) -> io::Result<WalScan> {
     let bytes = match fs::read(path) {
         Ok(bytes) => bytes,
@@ -588,8 +614,30 @@ pub fn scan_wal(path: &Path) -> io::Result<WalScan> {
         }
         Err(e) => return Err(e),
     };
+    let header = WAL_HEADER.as_bytes();
+    if bytes.len() < header.len() && header.starts_with(&bytes) {
+        let tail = if bytes.is_empty() {
+            WalTail::Clean
+        } else {
+            WalTail::Torn {
+                dropped_bytes: bytes.len() as u64,
+                reason: "torn WAL header".to_owned(),
+            }
+        };
+        return Ok(WalScan {
+            records: Vec::new(),
+            valid_bytes: 0,
+            tail,
+        });
+    }
+    if !bytes.starts_with(header) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("bad WAL header (expected `{}`)", WAL_HEADER.trim_end()),
+        ));
+    }
     let mut records = Vec::new();
-    let mut pos = 0usize;
+    let mut pos = header.len();
     let mut tail = WalTail::Clean;
     while pos < bytes.len() {
         let invalid = |reason: String| WalTail::Torn {
@@ -817,75 +865,69 @@ pub fn encode_windower(enc: &mut Enc, state: &WindowerState) {
         enc,
         header,
         state.pending.iter().copied(),
-        state.active.iter().copied(),
-        state
-            .pair_events
-            .iter()
-            .map(|(pair, events)| (*pair, events.as_slice())),
-        state.agg.iter().copied(),
+        state.survivors.iter().copied(),
+        &state.agg,
     );
 }
 
 /// Encodes a live windower to exactly the bytes [`encode_windower`]
-/// writes for its [`export_state`](SlidingWindower::export_state), but
-/// through a borrowed [`view`](SlidingWindower::view), without copying
-/// the windower's event lists.
+/// writes for its [`export_state`](SlidingWindower::export_state),
+/// reading its canonically ordered parts in place instead of copying
+/// them.
 pub fn encode_live_windower(enc: &mut Enc, windower: &SlidingWindower) {
-    let view = windower.view();
     encode_windower_parts(
         enc,
-        view.header(),
-        view.pending(),
-        view.active(),
-        view.pair_events(),
-        view.agg(),
+        windower.header(),
+        windower.pending(),
+        windower.survivors(),
+        windower.aggregates(),
     );
 }
 
 /// The windower byte format, shared by both windower encoders.
-fn encode_windower_parts<'a>(
+fn encode_windower_parts(
     enc: &mut Enc,
     header: [u64; 7],
-    pending: impl ExactSizeIterator<Item = (u64, u64, NodeId, NodeId, f64)>,
-    active: impl ExactSizeIterator<Item = (u64, u64, NodeId, NodeId)>,
-    pair_events: impl ExactSizeIterator<Item = ((NodeId, NodeId), &'a [(u64, u64, f64)])>,
-    agg: impl ExactSizeIterator<Item = ((NodeId, NodeId), f64)>,
+    pending: impl ExactSizeIterator<Item = TimedEvent>,
+    survivors: impl ExactSizeIterator<Item = TimedEvent>,
+    agg: &[Aggregate],
 ) {
     for v in header {
         enc.u64(v);
     }
-    enc.len(pending.len());
-    for (time, seq, src, dst, w) in pending {
-        enc.u64(time);
-        enc.u64(seq);
-        enc.u32(src.raw());
-        enc.u32(dst.raw());
-        enc.f64(w);
-    }
-    enc.len(active.len());
-    for (time, seq, src, dst) in active {
-        enc.u64(time);
-        enc.u64(seq);
-        enc.u32(src.raw());
-        enc.u32(dst.raw());
-    }
-    enc.len(pair_events.len());
-    for ((src, dst), events) in pair_events {
-        enc.u32(src.raw());
-        enc.u32(dst.raw());
-        enc.len(events.len());
-        for &(seq, time, w) in events {
-            enc.u64(seq);
-            enc.u64(time);
-            enc.f64(w);
-        }
-    }
+    encode_timed_events(enc, pending);
+    encode_timed_events(enc, survivors);
     enc.len(agg.len());
-    for ((src, dst), w) in agg {
+    for &((src, dst), w) in agg {
         enc.u32(src.raw());
         enc.u32(dst.raw());
         enc.f64(w);
     }
+}
+
+fn encode_timed_events(enc: &mut Enc, events: impl ExactSizeIterator<Item = TimedEvent>) {
+    enc.len(events.len());
+    for (time, seq, src, dst, w) in events {
+        enc.u64(time);
+        enc.u64(seq);
+        enc.u32(src.raw());
+        enc.u32(dst.raw());
+        enc.f64(w);
+    }
+}
+
+fn decode_timed_events(dec: &mut Dec<'_>, what: &str) -> Result<Vec<TimedEvent>, CodecError> {
+    let n = dec.seq_len(32, what)?;
+    let mut events = Vec::with_capacity(n);
+    for _ in 0..n {
+        let time = dec.u64("event.time")?;
+        let seq = dec.u64("event.seq")?;
+        let src = node(dec.u32("event.src")?);
+        let dst = node(dec.u32("event.dst")?);
+        let w = dec.f64("event.weight")?;
+        events.push((time, seq, src, dst, w));
+    }
+    Ok(events)
 }
 
 /// Decodes a [`WindowerState`]. Structural validation (key ordering,
@@ -903,40 +945,8 @@ pub fn decode_windower(dec: &mut Dec<'_>) -> Result<WindowerState, CodecError> {
     let invalid_events = dec.u64("windower.invalid_events")?;
     let late_events = dec.u64("windower.late_events")?;
     let gap_events = dec.u64("windower.gap_events")?;
-    let n = dec.seq_len(32, "windower.pending")?;
-    let mut pending = Vec::with_capacity(n);
-    for _ in 0..n {
-        let time = dec.u64("pending.time")?;
-        let sq = dec.u64("pending.seq")?;
-        let src = node(dec.u32("pending.src")?);
-        let dst = node(dec.u32("pending.dst")?);
-        let w = dec.f64("pending.weight")?;
-        pending.push((time, sq, src, dst, w));
-    }
-    let n = dec.seq_len(24, "windower.active")?;
-    let mut active = Vec::with_capacity(n);
-    for _ in 0..n {
-        let time = dec.u64("active.time")?;
-        let sq = dec.u64("active.seq")?;
-        let src = node(dec.u32("active.src")?);
-        let dst = node(dec.u32("active.dst")?);
-        active.push((time, sq, src, dst));
-    }
-    let n = dec.seq_len(16, "windower.pair_events")?;
-    let mut pair_events = Vec::with_capacity(n);
-    for _ in 0..n {
-        let src = node(dec.u32("pair.src")?);
-        let dst = node(dec.u32("pair.dst")?);
-        let m = dec.seq_len(24, "pair.events")?;
-        let mut events = Vec::with_capacity(m);
-        for _ in 0..m {
-            let sq = dec.u64("pair_event.seq")?;
-            let time = dec.u64("pair_event.time")?;
-            let w = dec.f64("pair_event.weight")?;
-            events.push((sq, time, w));
-        }
-        pair_events.push(((src, dst), events));
-    }
+    let pending = decode_timed_events(dec, "windower.pending")?;
+    let survivors = decode_timed_events(dec, "windower.survivors")?;
     let n = dec.seq_len(16, "windower.agg")?;
     let mut agg = Vec::with_capacity(n);
     for _ in 0..n {
@@ -954,8 +964,7 @@ pub fn decode_windower(dec: &mut Dec<'_>) -> Result<WindowerState, CodecError> {
         late_events,
         gap_events,
         pending,
-        active,
-        pair_events,
+        survivors,
         agg,
     })
 }
@@ -1093,18 +1102,53 @@ mod tests {
         drop(w);
         // Flip a bit inside record 2's payload (frame 12 + 16 bytes each).
         let mut bytes = fs::read(&path).unwrap();
-        let off = 2 * 28 + 12 + 5;
+        let first = WAL_HEADER.len();
+        let off = first + 2 * 28 + 12 + 5;
         bytes[off] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
         let scan = scan_wal(&path).unwrap();
         // Records 0 and 1 survive; record 3 is *not* recovered even
         // though its own framing is intact.
         assert_eq!(scan.records.len(), 2);
-        assert_eq!(scan.valid_bytes, 2 * 28);
+        assert_eq!(scan.valid_bytes, (first + 2 * 28) as u64);
         match scan.tail {
             WalTail::Torn { ref reason, .. } => assert!(reason.contains("digest mismatch")),
             WalTail::Clean => panic!("expected torn tail"),
         }
+    }
+
+    /// A log torn while its header was written scans as empty and
+    /// resumes with a fresh header; a log with any other start is a
+    /// typed error naming the header, and is left untouched.
+    #[test]
+    fn wal_header_tears_resume_and_mismatches_reject() {
+        let path = temp_path("wal-header.log");
+        for cut in [0, 1, WAL_HEADER.len() - 1] {
+            fs::write(&path, &WAL_HEADER.as_bytes()[..cut]).unwrap();
+            let scan = scan_wal(&path).unwrap();
+            assert!(scan.records.is_empty());
+            assert_eq!(scan.valid_bytes, 0);
+            assert_eq!(scan.tail == WalTail::Clean, cut == 0);
+            let mut w = WalWriter::resume(&path, scan.valid_bytes).unwrap();
+            w.append(b"after").unwrap();
+            w.sync().unwrap();
+            drop(w);
+            let scan = scan_wal(&path).unwrap();
+            assert_eq!(scan.records, vec![b"after".to_vec()]);
+            assert_eq!(scan.tail, WalTail::Clean);
+        }
+        // A header-less log of the previous format, and a wrong version.
+        let mut frame = 5u32.to_le_bytes().to_vec();
+        frame.extend_from_slice(&fnv1a(b"first").to_le_bytes());
+        frame.extend_from_slice(b"first");
+        for bytes in [frame, b"comsig-wal v0\n".to_vec()] {
+            fs::write(&path, &bytes).unwrap();
+            let err = scan_wal(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(WAL_HEADER.trim_end()), "{err}");
+            assert_eq!(fs::read(&path).unwrap(), bytes);
+        }
+        fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1215,9 +1259,10 @@ mod tests {
         let restored = SlidingWindower::from_state(back).unwrap();
         assert_eq!(restored.export_state(), state);
     }
-    /// A windower mid-stream: overlapping windows, active events on two
-    /// pairs, one pair with several events, one event still pending and
-    /// one counted late.
+
+    /// A windower mid-stream: overlapping windows, one event surviving
+    /// into the next window, an aggregate over several events, one event
+    /// still pending and one counted late.
     fn mid_stream_windower() -> SlidingWindower {
         let mut w = SlidingWindower::new(0, 10, 5);
         for (time, src, dst, weight) in [
@@ -1237,6 +1282,7 @@ mod tests {
         }
         let _ = w.advance();
         let _ = w.advance();
+        assert_eq!(w.survivors().len(), 1, "fixture shape");
         // Too late for any future window: counted, not buffered.
         assert!(!w.push(EdgeEvent {
             time: 2,

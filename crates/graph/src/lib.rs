@@ -86,7 +86,7 @@ pub mod traversal;
 pub mod window;
 
 pub use builder::GraphBuilder;
-pub use delta::{EdgeChange, SlidingWindower, WindowDelta, WindowerState, WindowerView};
+pub use delta::{Aggregate, EdgeChange, SlidingWindower, TimedEvent, WindowDelta, WindowerState};
 pub use edge::{Edge, EdgeEvent, Weight};
 pub use error::GraphError;
 pub use graph::{CommGraph, NeighborIter};

@@ -15,7 +15,8 @@
 //!   WAL best-effort; a crash at any point leaves a recoverable pair.
 //!
 //! Recovery ([`DurableState::open`]) is snapshot-or-genesis plus WAL
-//! replay: a torn tail is truncated at the last valid record, each
+//! replay: a snapshot or WAL in another format is typed corruption, a
+//! torn tail is truncated at the last valid record, each
 //! replayed advance is verified bit-exactly against the logged delta
 //! and digest, and the reopened WAL resumes appending at the truncation
 //! point. If a WAL write ever fails at runtime the service **degrades
@@ -171,7 +172,10 @@ impl<'a> DurableState<'a> {
             };
 
         let wal_path = wal_file(dir, wal_epoch);
-        let scan = persist::scan_wal(&wal_path)?;
+        let scan = persist::scan_wal(&wal_path).map_err(|e| match e.kind() {
+            std::io::ErrorKind::InvalidData => ServeError::Corrupt(format!("WAL: {e}")),
+            _ => e.into(),
+        })?;
         let mut replayed_events = 0u64;
         let mut replayed_windows = 0u64;
         for (i, payload) in scan.records.iter().enumerate() {
@@ -694,15 +698,61 @@ mod tests {
         assert!(s.advance().is_ok());
     }
 
-    /// A data dir written by a build with the previous snapshot format
-    /// (v2, which carried the postings layout) opens as typed corruption
-    /// naming the expected magic, never as a panic or a misread body.
+    /// A data dir written by a build with a previous format opens as
+    /// typed corruption naming the expected magic, never as a panic, a
+    /// misread body, a replay divergence or a truncated tail. That covers
+    /// snapshots v2 (which carried the postings layout) and v3 (which
+    /// carried per-event windower state), and a WAL without a header,
+    /// which every build before the header wrote.
     #[test]
     fn previous_snapshot_format_is_typed_corruption() {
         let scheme = TopTalkers;
         let dist = SHel;
         let (interner, subjects, lines) = seed();
-        let dir = temp_dir("v2-snapshot");
+        let expect_corrupt = |dir: &Path, magic: &str| {
+            let opened = DurableState::open(
+                &scheme,
+                &dist,
+                config(),
+                dir,
+                interner.clone(),
+                subjects.clone(),
+            );
+            match opened {
+                Err(ServeError::Corrupt(reason)) => assert!(
+                    reason.contains(magic),
+                    "reason must name the expected magic: {reason}"
+                ),
+                Err(e) => panic!("expected typed corruption, got {e}"),
+                Ok(_) => panic!("a previous format must not open"),
+            };
+        };
+        for old in ["comsig-serve-snapshot v2", "comsig-serve-snapshot v3"] {
+            let dir = temp_dir(&old.replace(' ', "-"));
+            let (mut s, _) = DurableState::open(
+                &scheme,
+                &dist,
+                config(),
+                &dir,
+                interner.clone(),
+                subjects.clone(),
+            )
+            .unwrap();
+            s.ingest_lines(&lines.join("\n")).unwrap();
+            let _ = s.advance().unwrap();
+            s.snapshot_now().unwrap();
+            drop(s);
+            let body = match persist::read_atomic(&snapshot_file(&dir), SNAPSHOT_MAGIC) {
+                persist::LoadOutcome::Hit(body) => body,
+                _ => panic!("fresh snapshot must load"),
+            };
+            persist::write_atomic(&snapshot_file(&dir), old, &body).unwrap();
+            expect_corrupt(&dir, SNAPSHOT_MAGIC);
+        }
+
+        // A genesis data dir whose WAL has no header: its records must
+        // not replay, and its bytes must not be truncated away.
+        let dir = temp_dir("headerless-wal");
         let (mut s, _) = DurableState::open(
             &scheme,
             &dist,
@@ -714,22 +764,13 @@ mod tests {
         .unwrap();
         s.ingest_lines(&lines.join("\n")).unwrap();
         let _ = s.advance().unwrap();
-        s.snapshot_now().unwrap();
         drop(s);
-        let body = match persist::read_atomic(&snapshot_file(&dir), SNAPSHOT_MAGIC) {
-            persist::LoadOutcome::Hit(body) => body,
-            _ => panic!("fresh snapshot must load"),
-        };
-        persist::write_atomic(&snapshot_file(&dir), "comsig-serve-snapshot v2", &body).unwrap();
-        let opened = DurableState::open(&scheme, &dist, config(), &dir, interner, subjects);
-        match opened {
-            Err(ServeError::Corrupt(reason)) => assert!(
-                reason.contains(SNAPSHOT_MAGIC),
-                "reason must name the expected magic: {reason}"
-            ),
-            Err(e) => panic!("expected typed corruption, got {e}"),
-            Ok(_) => panic!("a v2 snapshot must not open"),
-        };
+        let wal = wal_file(&dir, 0);
+        let bytes = fs::read(&wal).unwrap();
+        let headerless = bytes[persist::WAL_HEADER.len()..].to_vec();
+        fs::write(&wal, &headerless).unwrap();
+        expect_corrupt(&dir, persist::WAL_HEADER.trim_end());
+        assert_eq!(fs::read(&wal).unwrap(), headerless);
     }
 
     #[test]

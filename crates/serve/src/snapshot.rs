@@ -24,9 +24,10 @@ use comsig_graph::{Interner, NodeId, SlidingWindower};
 use crate::config::{ServeConfig, ServeError};
 use crate::state::{build_detector, LastWindow, LiveState, Origin};
 
-/// Magic line of the snapshot container (v3: tier-tagged body, no
-/// matcher section).
-pub const SNAPSHOT_MAGIC: &str = "comsig-serve-snapshot v3";
+/// Magic line of the snapshot container (v4: tier-tagged body, no
+/// matcher section, a windower of pending events, survivors and
+/// aggregates).
+pub const SNAPSHOT_MAGIC: &str = "comsig-serve-snapshot v4";
 
 /// The snapshot path inside a data directory.
 #[must_use]
@@ -331,11 +332,11 @@ mod tests {
     fn snapshot_bytes_and_digest_are_pinned() {
         let scheme = TopTalkers;
         for (config, want_bytes, want_digest) in [
-            (test_config(), 0xc007_90c7_eaf5_c181, 0x9a82_89e2_888b_fcab),
+            (test_config(), 0x074c_d515_eaef_1b6b, 0xf6b7_a29e_f5a6_d8c2),
             (
                 sketch_config(),
-                0xe92d_4b0e_9390_d1ce,
-                0x1598_d026_f2db_3f87,
+                0x7f7f_b39f_9066_79d5,
+                0x155e_cc21_042b_ab1e,
             ),
         ] {
             let mut live = build_live(&scheme, &config);

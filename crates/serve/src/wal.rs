@@ -1,7 +1,8 @@
 //! WAL record codec for the service log.
 //!
-//! The byte-level framing (`[u32 len][u64 digest][payload]`, torn-tail
-//! truncation) lives in [`comsig_core::persist`]; this module defines
+//! The byte-level framing (the versioned header line, then
+//! `[u32 len][u64 digest][payload]` records, torn-tail truncation) lives
+//! in [`comsig_core::persist`]; this module defines
 //! what goes **inside** a payload. Two record types:
 //!
 //! * [`WalRecord::Events`] — an accepted event batch, in push order,

@@ -71,6 +71,16 @@ fn config() -> ServeConfig {
     }
 }
 
+/// Width 10 with slide 5, 10 or 15 for `pick` 0, 1 or 2: overlapping
+/// windows (whose survivors cross every snapshot and replay), tumbling
+/// ones, and gapped ones.
+fn config_with_slide(pick: u64) -> ServeConfig {
+    ServeConfig {
+        slide: 5 + 5 * pick,
+        ..config()
+    }
+}
+
 fn scratch(name: &str, case: u64) -> PathBuf {
     let dir = std::env::temp_dir()
         .join("comsig-serve-proptests")
@@ -125,11 +135,17 @@ proptest! {
     }
 
     /// Snapshots of any stream prefix round-trip byte-exactly and
-    /// reproduce the state digest.
+    /// reproduce the state digest, for overlapping, tumbling and gapped
+    /// windows.
     #[test]
-    fn snapshots_round_trip(raw in event_stream(), windows in 0usize..4, epoch in any::<u64>()) {
+    fn snapshots_round_trip(
+        raw in event_stream(),
+        windows in 0usize..4,
+        epoch in any::<u64>(),
+        slide_pick in 0u64..3,
+    ) {
         let scheme = TopTalkers;
-        let cfg = config();
+        let cfg = config_with_slide(slide_pick);
         let events = to_events(&raw);
         let interner = frozen_interner();
         let subjects = subject_sources(&events);
@@ -147,12 +163,17 @@ proptest! {
 
     /// Recovery equivalence: crash after any number of acknowledged
     /// windows, reopen, feed the rest — the final digest equals the
-    /// uninterrupted run's.
+    /// uninterrupted run's, for overlapping, tumbling and gapped windows.
     #[test]
-    fn recovery_is_equivalent_to_uninterrupted(raw in event_stream(), crash_after in 0usize..4) {
+    fn recovery_is_equivalent_to_uninterrupted(
+        raw in event_stream(),
+        crash_after in 0usize..4,
+        slide_pick in 0u64..3,
+    ) {
         let scheme = TopTalkers;
         let dist = SHel;
-        let case = case_key(&raw);
+        let cfg = config_with_slide(slide_pick);
+        let case = case_key(&raw).wrapping_mul(3).wrapping_add(slide_pick);
         let lines = to_lines(&raw);
         // Window w's lines are those with time in [10w, 10w + 10).
         let batch = |w: usize| -> String {
@@ -168,7 +189,7 @@ proptest! {
             DurableState::open(
                 &scheme,
                 &dist,
-                config(),
+                cfg.clone(),
                 dir,
                 frozen_interner(),
                 subject_sources(&events),
@@ -225,11 +246,9 @@ proptest! {
         sketch in any::<bool>(),
     ) {
         let scheme = TopTalkers;
-        // Width 10: slide 5 overlaps, 10 tumbles, 15 leaves gaps.
         let cfg = ServeConfig {
-            slide: 5 + 5 * slide_pick,
             tier: if sketch { TierSpec::Sketch } else { TierSpec::Exact },
-            ..config()
+            ..config_with_slide(slide_pick)
         };
         let events = to_events(&raw);
         let subjects = subject_sources(&events);
