@@ -278,7 +278,7 @@ mod tests {
     use comsig_core::scheme::{Rwr, SignatureScheme, TopTalkers};
     use comsig_eval::ann::{AnnConfig, AnnIndex};
     use comsig_eval::index::PostingsIndex;
-    use comsig_graph::{CommGraph, EdgeEvent, GraphBuilder, NodeId, SlidingWindower};
+    use comsig_graph::{CommGraph, Edge, EdgeEvent, GraphBuilder, NodeId, SlidingWindower};
     use comsig_sketch::stream::StreamConfig;
     use comsig_sketch::tier::{SketchScheme, SketchTier};
 
@@ -569,10 +569,11 @@ mod tests {
         }
     }
 
-    /// A detector reassembled mid-stream from its encoded tier state and
-    /// an index rebuilt over the decoded signatures must continue
-    /// bit-identically to the uninterrupted one — the serve
-    /// snapshot/recovery discipline for the exact tier.
+    /// A detector reassembled mid-stream from its encoded tier state, a
+    /// graph rebuilt from the windower's aggregates and an index rebuilt
+    /// over the decoded signatures must continue bit-identically to the
+    /// uninterrupted one — the serve snapshot/recovery discipline for the
+    /// exact tier.
     #[test]
     fn resume_from_parts_continues_bit_identically() {
         let scheme = Rwr::truncated(0.15, 2);
@@ -598,7 +599,14 @@ mod tests {
         det.tier().encode_state(&mut enc);
         let bytes = enc.into_bytes();
         let mut dec = Dec::new(&bytes);
-        let graph = persist::decode_graph(&mut dec).expect("graph decodes");
+        let num_nodes = dec.u64("graph.num_nodes").expect("graph header decodes");
+        assert_eq!(num_nodes, NUM_NODES as u64);
+        let edges = w
+            .aggregates()
+            .iter()
+            .map(|&((src, dst), weight)| Edge { src, dst, weight })
+            .collect();
+        let graph = CommGraph::from_sorted_edges(NUM_NODES, edges);
         let current = persist::decode_signature_set(&mut dec).expect("signatures decode");
         dec.finish("exact detector state")
             .expect("no trailing bytes");

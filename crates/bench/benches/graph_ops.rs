@@ -1,5 +1,5 @@
 //! Criterion benches: graph-substrate operations (CSR construction,
-//! lookups, traversal, perturbation).
+//! lookups, perturbation).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -7,7 +7,6 @@ use std::hint::black_box;
 use comsig_bench::datasets;
 use comsig_bench::Scale;
 use comsig_graph::perturb::{perturb, PerturbConfig};
-use comsig_graph::traversal::{bfs, Direction};
 use comsig_graph::GraphBuilder;
 
 fn bench_graph_ops(c: &mut Criterion) {
@@ -31,11 +30,6 @@ fn bench_graph_ops(c: &mut Criterion) {
         let v = subjects[0];
         let (dst, _) = g.out_neighbors(v).next().expect("host has edges");
         b.iter(|| black_box(g.edge_weight(black_box(v), black_box(dst))))
-    });
-
-    group.bench_function("bfs_3_hops_undirected", |b| {
-        let v = subjects[0];
-        b.iter(|| black_box(bfs(g, black_box(v), Direction::Both, 3)))
     });
 
     group.bench_function("perturb_0.4", |b| {

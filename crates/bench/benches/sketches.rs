@@ -9,7 +9,6 @@ use comsig_graph::NodeId;
 use comsig_sketch::cm::CountMinSketch;
 use comsig_sketch::fm::FmSketch;
 use comsig_sketch::stream::{SemiStream, StreamConfig};
-use comsig_sketch::topk::SpaceSaving;
 
 fn bench_sketches(c: &mut Criterion) {
     let mut group = c.benchmark_group("sketch_ops");
@@ -47,14 +46,6 @@ fn bench_sketches(c: &mut Criterion) {
             fm.insert(i);
         }
         b.iter(|| black_box(fm.estimate()))
-    });
-    group.bench_function("spacesaving_update", |b| {
-        let mut ss = SpaceSaving::new(64);
-        let mut i = 0u64;
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            ss.update(black_box(i % 500), 1.0);
-        })
     });
     group.finish();
 

@@ -15,7 +15,9 @@
 //! * the batched engine's epoch-stamped workspaces must be clean at the
 //!   start of every batch ([`check_scatter_clean`]);
 //! * a streaming-pipeline advance must be bit-identical to a cold
-//!   rebuild ([`check_pipeline_equiv`]).
+//!   rebuild ([`check_pipeline_equiv`]);
+//! * the exact tier's window graph is its windower's aggregates, bit for
+//!   bit ([`check_window_graph`]).
 //!
 //! Checks are **active in debug builds and when the `contracts` feature
 //! is enabled**; in a plain release build every checker compiles to a
@@ -24,7 +26,7 @@
 //! definitions, the batched RWR engine, `comsig-eval`'s matchers and ROC
 //! machinery, and `comsig-graph`'s property tests (via dev-dependency).
 
-use comsig_graph::{CommGraph, NodeId};
+use comsig_graph::{Aggregate, CommGraph, NodeId};
 
 use crate::distance::SignatureDistance;
 use crate::engine::{DegradeReason, DenseScatter};
@@ -182,6 +184,38 @@ pub fn check_pipeline_equiv<S: SignatureScheme + ?Sized>(
                  ({gu}: {gw:e} vs {wu}: {ww:e})"
             );
         }
+    }
+}
+
+/// The window-graph contract: the exact tier's graph holds exactly the
+/// windower's aggregates, edge for edge and weight bit for weight bit.
+/// The windower's deltas carry each aggregate as the change's `new`
+/// weight, and `apply_delta` writes exactly that, so the two always
+/// agree; this is what lets a snapshot persist the aggregates alone and
+/// rebuild the graph from them.
+///
+/// # Panics
+/// Panics (when [`enabled`]) if an edge is missing, extra, or differs
+/// from its aggregate in even one weight bit.
+pub fn check_window_graph(g: &CommGraph, agg: &[Aggregate]) {
+    if !enabled() {
+        return;
+    }
+    assert!(
+        g.num_edges() == agg.len(),
+        "contract violation: window graph has {} edges, the windower {} aggregates",
+        g.num_edges(),
+        agg.len()
+    );
+    for (e, &((src, dst), w)) in g.edges().zip(agg) {
+        assert!(
+            e.src == src && e.dst == dst && e.weight.to_bits() == w.to_bits(),
+            "contract violation: window graph edge {}->{} ({:e}) differs from aggregate \
+             {src}->{dst} ({w:e})",
+            e.src,
+            e.dst,
+            e.weight
+        );
     }
 }
 
@@ -397,6 +431,35 @@ mod tests {
         let g = b.build(2);
         let stale = SignatureSet::new(vec![n(0)], vec![sig(&[(1, 0.5)])]);
         check_pipeline_equiv(&TopTalkers, &g, 5, &stale);
+    }
+
+    #[test]
+    fn window_graph_matches_its_aggregates() {
+        use comsig_graph::GraphBuilder;
+        let mut b = GraphBuilder::new();
+        b.add_event(n(0), n(1), 0.1);
+        b.add_event(n(0), n(1), 0.2);
+        b.add_event(n(2), n(0), 1.5);
+        let g = b.build(3);
+        check_window_graph(&g, &[((n(0), n(1)), 0.1 + 0.2), ((n(2), n(0)), 1.5)]);
+        check_window_graph(&CommGraph::empty(3), &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "differs from aggregate")]
+    fn window_graph_weight_drift_fires() {
+        use comsig_graph::GraphBuilder;
+        let mut b = GraphBuilder::new();
+        b.add_event(n(0), n(1), 0.1);
+        b.add_event(n(0), n(1), 0.2);
+        // 0.3 is not the bit pattern of 0.1 + 0.2.
+        check_window_graph(&b.build(2), &[((n(0), n(1)), 0.3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "aggregates")]
+    fn window_graph_missing_edge_fires() {
+        check_window_graph(&CommGraph::empty(2), &[((n(0), n(1)), 1.0)]);
     }
 
     #[test]

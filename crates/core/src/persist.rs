@@ -22,9 +22,9 @@
 //!    reporting the torn tail so recovery can truncate it.
 //!
 //! On top of those, the module provides byte encoders for the streaming
-//! state types ([`WindowDelta`], [`WindowerState`], [`CommGraph`],
-//! [`SignatureSet`]): deterministic output (equal values encode to equal
-//! bytes) and validated, panic-free decoding.
+//! state types ([`WindowDelta`], [`WindowerState`], [`SignatureSet`], and
+//! a [`CommGraph`]'s header): deterministic output (equal values encode
+//! to equal bytes) and validated, panic-free decoding.
 
 use std::fmt;
 use std::fs;
@@ -32,7 +32,7 @@ use std::io::{self, Write};
 use std::path::Path;
 
 use comsig_graph::{
-    Aggregate, CommGraph, Edge, EdgeChange, NodeId, SlidingWindower, TimedEvent, WindowDelta,
+    Aggregate, CommGraph, EdgeChange, NodeId, SlidingWindower, TimedEvent, WindowDelta,
     WindowerState,
 };
 
@@ -757,59 +757,13 @@ pub fn decode_delta(dec: &mut Dec<'_>) -> Result<WindowDelta, CodecError> {
     })
 }
 
-/// Encodes a [`CommGraph`] as `num_nodes` plus its sorted edge list —
-/// exactly the input [`CommGraph::from_sorted_edges`] rebuilds
-/// bit-identically (cached weight sums re-accumulate in the same
-/// order).
+/// Encodes a [`CommGraph`]'s header: its node count, and no edges. A
+/// window graph's edges are its windower's aggregates, which the
+/// windower's own encoding already carries, so decoding rebuilds the
+/// graph from those with [`CommGraph::from_sorted_edges`] instead of
+/// reading a second copy.
 pub fn encode_graph(enc: &mut Enc, graph: &CommGraph) {
     enc.u64(graph.num_nodes() as u64);
-    enc.len(graph.num_edges());
-    for e in graph.edges() {
-        enc.u32(e.src.raw());
-        enc.u32(e.dst.raw());
-        enc.f64(e.weight);
-    }
-}
-
-/// Decodes a [`CommGraph`], validating every `from_sorted_edges`
-/// precondition first so corrupt input returns an error instead of
-/// panicking.
-///
-/// # Errors
-/// Returns [`CodecError`] on truncation or invariant violation.
-pub fn decode_graph(dec: &mut Dec<'_>) -> Result<CommGraph, CodecError> {
-    let num_nodes = dec.u64("graph.num_nodes")?;
-    let num_nodes = usize::try_from(num_nodes)
-        .ok()
-        .filter(|&n| n <= (u32::MAX as usize) + 1)
-        .ok_or_else(|| CodecError::new(format!("graph.num_nodes implausible: {num_nodes}")))?;
-    let m = dec.seq_len(16, "graph.edges")?;
-    let mut edges = Vec::with_capacity(m);
-    let mut prev: Option<(NodeId, NodeId)> = None;
-    for _ in 0..m {
-        let src = node(dec.u32("edge.src")?);
-        let dst = node(dec.u32("edge.dst")?);
-        let weight = dec.f64("edge.weight")?;
-        if src.index() >= num_nodes || dst.index() >= num_nodes {
-            return Err(CodecError::new(format!(
-                "edge {src}->{dst} out of range for |V| = {num_nodes}"
-            )));
-        }
-        if src == dst {
-            return Err(CodecError::new(format!("self-loop {src}->{dst}")));
-        }
-        if !(weight.is_finite() && weight > 0.0) {
-            return Err(CodecError::new(format!(
-                "edge {src}->{dst} has invalid weight {weight}"
-            )));
-        }
-        if prev.is_some_and(|p| p >= (src, dst)) {
-            return Err(CodecError::new("graph edges not strictly sorted"));
-        }
-        prev = Some((src, dst));
-        edges.push(Edge { src, dst, weight });
-    }
-    Ok(CommGraph::from_sorted_edges(num_nodes, edges))
 }
 
 /// Encodes a [`SignatureSet`] in subject order with each signature's
@@ -1197,26 +1151,6 @@ mod tests {
         }
         let bytes = enc.into_bytes();
         assert!(decode_delta(&mut Dec::new(&bytes)).is_err());
-    }
-
-    #[test]
-    fn graph_codec_round_trips_bit_exactly() {
-        let mut b = GraphBuilder::new();
-        b.add_event(n(0), n(1), 0.1);
-        b.add_event(n(0), n(1), 0.2);
-        b.add_event(n(2), n(0), 1.5);
-        b.add_event(n(1), n(3), 0.25);
-        let g = b.build(4);
-        let mut enc = Enc::new();
-        encode_graph(&mut enc, &g);
-        let bytes = enc.into_bytes();
-        let back = decode_graph(&mut Dec::new(&bytes)).unwrap();
-        assert_eq!(back.num_nodes(), g.num_nodes());
-        assert_eq!(back.num_edges(), g.num_edges());
-        assert_eq!(back.total_weight().to_bits(), g.total_weight().to_bits());
-        let mut enc2 = Enc::new();
-        encode_graph(&mut enc2, &back);
-        assert_eq!(enc2.into_bytes(), bytes);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! [`SignatureTier::memory`] so the accuracy/memory tradeoff is
 //! measured, never implicit.
 
-use comsig_graph::WindowDelta;
+use comsig_graph::{CommGraph, WindowDelta};
 
 use crate::persist::{self, Enc};
 use crate::pipeline::{AdvanceReport, DeltaScheme, SignaturePipeline};
@@ -72,9 +72,16 @@ pub trait SignatureTier: Send {
         0
     }
 
-    /// Appends the tier's complete durable state, current signatures
-    /// included, to a snapshot body or state digest. Deterministic:
-    /// equal states encode to equal bytes.
+    /// The materialised window graph, for a tier that holds one (the
+    /// exact tier); `None` for a tier that never builds it.
+    fn window_graph(&self) -> Option<&CommGraph> {
+        None
+    }
+
+    /// Appends the tier's durable state, current signatures included, to
+    /// a snapshot body or state digest. Deterministic: equal states
+    /// encode to equal bytes. State that is a function of the window
+    /// (the exact tier's graph edges) is left to the windower's encoding.
     fn encode_state(&self, enc: &mut Enc);
 }
 
@@ -104,7 +111,13 @@ impl<S: DeltaScheme + ?Sized> SignatureTier for SignaturePipeline<'_, S> {
         }
     }
 
-    /// The window graph, then the current signatures.
+    fn window_graph(&self) -> Option<&CommGraph> {
+        Some(self.graph())
+    }
+
+    /// The window graph's header (its node count), then the current
+    /// signatures. The graph's edges are the windower's aggregates, which
+    /// a snapshot or digest already carries.
     fn encode_state(&self, enc: &mut Enc) {
         persist::encode_graph(enc, self.graph());
         persist::encode_signature_set(enc, SignaturePipeline::signatures(self));
@@ -138,6 +151,7 @@ mod tests {
         let mut seamed = direct.clone();
         let tier: &mut dyn SignatureTier = &mut seamed;
         assert_eq!(tier.tier_name(), "exact");
+        assert_eq!(tier.window_graph().map(CommGraph::num_nodes), Some(8));
         assert_eq!(tier.dropped_changes(), 0);
         for _ in 0..2 {
             let delta = w.advance();

@@ -18,8 +18,6 @@
 //! * [`roc`] — ROC curves and AUC, in both variants the paper uses:
 //!   single-target self-identification (Figures 2–4) and multi-target
 //!   ground-truth sets (Figure 5).
-//! * [`pr`] — precision–recall curves and average precision, for the
-//!   rare-positive detection applications.
 //! * [`property_eval`] — the per-window `(μ_p, s_p, μ_u, s_u)` ellipse
 //!   summaries of Figure 1.
 //! * [`report`] — fixed-width text tables, CSV and JSON rendering of
@@ -31,7 +29,6 @@
 pub mod ann;
 pub mod index;
 pub mod matcher;
-pub mod pr;
 pub mod property_eval;
 pub mod ranking;
 pub mod report;

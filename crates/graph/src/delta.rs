@@ -435,6 +435,20 @@ impl SlidingWindower {
         &self.agg
     }
 
+    /// One past the largest node id that a pending event, a survivor or
+    /// an aggregate names, or 0 when the windower holds none: the
+    /// smallest node space that the windower's graphs fit in.
+    #[must_use]
+    pub fn node_bound(&self) -> usize {
+        let events = self.pending.values().chain(self.survivors.values());
+        events
+            .map(|&(src, dst, _)| (src, dst))
+            .chain(self.agg.iter().map(|&(pair, _)| pair))
+            .map(|(src, dst)| src.index().max(dst.index()) + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Exports the windower's complete state as a deterministic,
     /// serialisable image: every part is already in canonical order, so
     /// two bit-identical windowers export byte-identical states.

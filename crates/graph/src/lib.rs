@@ -26,8 +26,6 @@
 //! * [`SlidingWindower`] / [`WindowDelta`] — the streaming counterpart:
 //!   incremental window advances that emit aggregated-edge deltas, applied
 //!   by [`CommGraph::apply_delta`] bit-identically to a cold rebuild.
-//! * [`traversal`] — BFS, h-hop neighbourhoods, connected components and
-//!   effective-diameter estimation.
 //! * [`stats`] — degree/weight distributions and tail diagnostics used to
 //!   check that synthetic workloads have the characteristics the paper
 //!   relies on (Section III).
@@ -41,8 +39,6 @@
 //! * [`io`] — plain-text edge-list input/output in a flow-record-like
 //!   format, with configurable fault handling ([`IngestPolicy`]:
 //!   strict / quarantine / repair) and per-run [`IngestReport`]s.
-//! * [`ops`] — graph transformations: reversal, symmetrisation, edge
-//!   filtering, induced/incident subgraphs, window sums.
 //!
 //! ## Example
 //!
@@ -79,10 +75,8 @@ mod shard;
 
 pub mod bipartite;
 pub mod io;
-pub mod ops;
 pub mod perturb;
 pub mod stats;
-pub mod traversal;
 pub mod window;
 
 pub use builder::GraphBuilder;

@@ -183,6 +183,17 @@ impl<'a> DurableState<'a> {
                 .map_err(|e| ServeError::Corrupt(format!("WAL record {i}: {e}")))?
             {
                 WalRecord::Events(events) => {
+                    let labels = live.interner.len();
+                    if let Some(e) = events
+                        .iter()
+                        .find(|e| e.src.index() >= labels || e.dst.index() >= labels)
+                    {
+                        return Err(ServeError::Corrupt(format!(
+                            "WAL record {i}: event {}->{} names a node outside the \
+                             {labels}-label space",
+                            e.src, e.dst
+                        )));
+                    }
                     replayed_events += events.len() as u64;
                     live.push_events(&events);
                 }
@@ -701,9 +712,10 @@ mod tests {
     /// A data dir written by a build with a previous format opens as
     /// typed corruption naming the expected magic, never as a panic, a
     /// misread body, a replay divergence or a truncated tail. That covers
-    /// snapshots v2 (which carried the postings layout) and v3 (which
-    /// carried per-event windower state), and a WAL without a header,
-    /// which every build before the header wrote.
+    /// snapshots v2 (which carried the postings layout), v3 (which
+    /// carried per-event windower state) and v4 (whose exact tier
+    /// carried its graph's edges), and a WAL without a header, which
+    /// every build before the header wrote.
     #[test]
     fn previous_snapshot_format_is_typed_corruption() {
         let scheme = TopTalkers;
@@ -727,7 +739,11 @@ mod tests {
                 Ok(_) => panic!("a previous format must not open"),
             };
         };
-        for old in ["comsig-serve-snapshot v2", "comsig-serve-snapshot v3"] {
+        for old in [
+            "comsig-serve-snapshot v2",
+            "comsig-serve-snapshot v3",
+            "comsig-serve-snapshot v4",
+        ] {
             let dir = temp_dir(&old.replace(' ', "-"));
             let (mut s, _) = DurableState::open(
                 &scheme,
@@ -771,6 +787,48 @@ mod tests {
         fs::write(&wal, &headerless).unwrap();
         expect_corrupt(&dir, persist::WAL_HEADER.trim_end());
         assert_eq!(fs::read(&wal).unwrap(), headerless);
+    }
+
+    /// A WAL `Events` record that frames and digests correctly but names
+    /// a node outside the label space is typed corruption at replay,
+    /// never a panic at the next advance.
+    #[test]
+    fn wal_event_outside_the_label_space_is_typed_corruption() {
+        let scheme = TopTalkers;
+        let dist = SHel;
+        let (interner, subjects, lines) = seed();
+        let dir = temp_dir("wal-outside");
+        let open = || {
+            DurableState::open(
+                &scheme,
+                &dist,
+                config(),
+                &dir,
+                interner.clone(),
+                subjects.clone(),
+            )
+        };
+        let (mut s, _) = open().unwrap();
+        s.ingest_lines(&lines.join("\n")).unwrap();
+        drop(s);
+        let wal = wal_file(&dir, 0);
+        let scan = persist::scan_wal(&wal).unwrap();
+        let mut w = WalWriter::resume(&wal, scan.valid_bytes).unwrap();
+        let event = EdgeEvent {
+            time: 5,
+            src: NodeId::new(0),
+            dst: NodeId::new(interner.len()),
+            weight: 1.0,
+        };
+        w.append(&encode_record(&WalRecord::Events(vec![event])))
+            .unwrap();
+        w.sync().unwrap();
+        drop(w);
+        match open() {
+            Err(ServeError::Corrupt(reason)) => assert!(reason.contains("label space"), "{reason}"),
+            Err(e) => panic!("expected typed corruption, got {e}"),
+            Ok(_) => panic!("an out-of-range WAL event must not replay"),
+        };
     }
 
     #[test]

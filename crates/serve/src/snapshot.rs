@@ -13,6 +13,10 @@
 //! snapshot supersedes, and the state digest at capture, which decoding
 //! recomputes and verifies. No matcher state is stored: both matchers
 //! are functions of the tier's signatures, and decoding rebuilds them.
+//! Nor is the exact tier's window graph, beyond its node count: its
+//! edges are the windower's aggregates, and decoding rebuilds the graph
+//! from them. Every node id the windower names is checked against the
+//! label space before anything is built from it.
 
 use std::path::{Path, PathBuf};
 
@@ -24,10 +28,10 @@ use comsig_graph::{Interner, NodeId, SlidingWindower};
 use crate::config::{ServeConfig, ServeError};
 use crate::state::{build_detector, LastWindow, LiveState, Origin};
 
-/// Magic line of the snapshot container (v4: tier-tagged body, no
+/// Magic line of the snapshot container (v5: tier-tagged body, no
 /// matcher section, a windower of pending events, survivors and
-/// aggregates).
-pub const SNAPSHOT_MAGIC: &str = "comsig-serve-snapshot v4";
+/// aggregates, and an exact tier of graph node count and signatures).
+pub const SNAPSHOT_MAGIC: &str = "comsig-serve-snapshot v5";
 
 /// The snapshot path inside a data directory.
 #[must_use]
@@ -125,6 +129,14 @@ pub fn decode_snapshot<'a>(
     }
     let windower_state = persist::decode_windower(&mut dec)?;
     let windower = SlidingWindower::from_state(windower_state).map_err(ServeError::Corrupt)?;
+    let bound = windower.node_bound();
+    if bound > interner.len() {
+        return Err(ServeError::Corrupt(format!(
+            "snapshot windower names node {} outside its {}-label space",
+            bound - 1,
+            interner.len()
+        )));
+    }
     let tier_tag = dec.u8("snapshot.tier")?;
     if tier_tag != config.tier.tag() {
         // The stamp already pins the tier; a disagreeing body tag means
@@ -134,7 +146,15 @@ pub fn decode_snapshot<'a>(
             config.tier.name()
         )));
     }
-    let det = build_detector(scheme, config, Origin::Snapshot(&mut dec))?;
+    let det = build_detector(
+        scheme,
+        config,
+        Origin::Snapshot {
+            dec: &mut dec,
+            num_nodes: interner.len(),
+            windower: &windower,
+        },
+    )?;
     let windows = dec.u64("snapshot.windows")?;
     let ingested_events = dec.u64("snapshot.ingested_events")?;
     let last = match dec.u8("snapshot.last.tag")? {
@@ -332,7 +352,7 @@ mod tests {
     fn snapshot_bytes_and_digest_are_pinned() {
         let scheme = TopTalkers;
         for (config, want_bytes, want_digest) in [
-            (test_config(), 0x074c_d515_eaef_1b6b, 0xf6b7_a29e_f5a6_d8c2),
+            (test_config(), 0x498f_22af_58b9_6578, 0x1ae2_347f_e32c_176e),
             (
                 sketch_config(),
                 0x7f7f_b39f_9066_79d5,
@@ -345,6 +365,95 @@ mod tests {
             let got = (persist::fnv1a(&body), live.state_digest());
             assert_eq!(got, (want_bytes, want_digest), "{}", config.tier.name());
         }
+    }
+
+    /// An event from node 0 to a node one past every label in
+    /// `build_live`'s space, at `time`.
+    fn outside(live: &LiveState<'_>, time: u64) -> EdgeEvent {
+        EdgeEvent {
+            time,
+            src: NodeId::new(0),
+            dst: NodeId::new(live.interner.len()),
+            weight: 1.0,
+        }
+    }
+
+    fn expect_corrupt(
+        scheme: &TopTalkers,
+        config: &ServeConfig,
+        live: &LiveState<'_>,
+        needle: &str,
+    ) {
+        let body = encode_snapshot(config, live, 1);
+        match decode_snapshot(scheme, config, &body) {
+            Err(ServeError::Corrupt(reason)) => assert!(reason.contains(needle), "{reason}"),
+            Err(e) => panic!("expected typed corruption, got {e}"),
+            Ok(_) => panic!("a snapshot naming nodes outside its label space must not load"),
+        }
+    }
+
+    /// A snapshot whose windower names a node outside its label space is
+    /// typed corruption, never a panic at the next advance, even though
+    /// its digest is consistent: the windower is advanced without the
+    /// detector, so only the node range check can catch it. Pending
+    /// events, survivors and aggregates are each checked.
+    #[test]
+    fn snapshot_rejects_windower_nodes_outside_the_label_space() {
+        let scheme = TopTalkers;
+        let needle = "outside its";
+
+        let config = test_config();
+        let mut pending = build_live(&scheme, &config);
+        let time = pending.windower.next_window().unwrap().1;
+        assert!(pending.windower.push(outside(&pending, time)));
+        expect_corrupt(&scheme, &config, &pending, needle);
+
+        // Tumbling: the emitted event leaves an aggregate and no survivor.
+        let mut aggregate = build_live(&scheme, &config);
+        let time = aggregate.windower.next_window().unwrap().0;
+        assert!(aggregate.windower.push(outside(&aggregate, time)));
+        let _ = aggregate.windower.advance();
+        assert_eq!(aggregate.windower.survivors().len(), 0, "fixture shape");
+        expect_corrupt(&scheme, &config, &aggregate, needle);
+
+        // Overlapping: the event lies in the next window too, so it
+        // survives.
+        let config = ServeConfig {
+            slide: 5,
+            ..test_config()
+        };
+        let mut survivor = build_live(&scheme, &config);
+        let time = survivor.windower.next_window().unwrap().0 + 7;
+        assert!(survivor.windower.push(outside(&survivor, time)));
+        let _ = survivor.windower.advance();
+        let bad = survivor.interner.len();
+        assert!(
+            survivor
+                .windower
+                .survivors()
+                .any(|(.., dst, _)| dst.index() == bad),
+            "fixture shape"
+        );
+        expect_corrupt(&scheme, &config, &survivor, needle);
+    }
+
+    /// An exact-tier graph header whose node count differs from the label
+    /// space is typed corruption, caught by name before any digest check.
+    #[test]
+    fn snapshot_rejects_a_graph_header_off_the_label_space() {
+        let scheme = TopTalkers;
+        let config = test_config();
+        let mut live = build_live(&scheme, &config);
+        live.det = build_detector(
+            &scheme,
+            &config,
+            Origin::Genesis {
+                subjects: &live.subjects,
+                num_nodes: live.interner.len() + 1,
+            },
+        )
+        .unwrap();
+        expect_corrupt(&scheme, &config, &live, "nodes, its label space");
     }
 
     #[test]

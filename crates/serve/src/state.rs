@@ -9,18 +9,22 @@
 //! socket.
 //!
 //! [`LiveState::state_digest`] is the bit-identity oracle. It folds the
-//! tier's durable state (exact: graph and current signatures; sketch:
-//! the sketches, which embed the current signatures), the previous
-//! signature buffer and the full windower state into one FNV-1a digest,
-//! then the matcher's digest: the exact tier's postings layout digest,
-//! which is a function of the current signatures alone; the LSH front
-//! adds nothing. An uninterrupted run and a kill-and-resume run must
-//! produce equal digests at every window boundary — the WAL records the
-//! expected digest per advance and recovery verifies it.
+//! tier's durable state (exact: the graph's node count and the current
+//! signatures; sketch: the sketches, which embed the current
+//! signatures), the previous signature buffer and the full windower
+//! state into one FNV-1a digest, then the matcher's digest: the exact
+//! tier's postings layout digest, which is a function of the current
+//! signatures alone; the LSH front adds nothing. The exact tier's graph
+//! edges are not digested twice: they are the windower's aggregates,
+//! which the contract layer checks after every advance. An
+//! uninterrupted run and a kill-and-resume run must produce equal
+//! digests at every window boundary — the WAL records the expected
+//! digest per advance and recovery verifies it.
 
 use comsig_apps::anomaly::AnomalyScore;
 use comsig_apps::masquerade::DetectorConfig;
 use comsig_apps::stream::TieredMasquerade;
+use comsig_core::contract;
 use comsig_core::distance::BatchDistance;
 use comsig_core::persist::{self, Dec, Enc, Fnv};
 use comsig_core::pipeline::{DeltaScheme, SignaturePipeline};
@@ -28,7 +32,8 @@ use comsig_core::{SignatureSet, SignatureTier};
 use comsig_eval::ann::{AnnIndex, SubjectMatcher};
 use comsig_eval::index::PostingsIndex;
 use comsig_graph::{
-    CommGraph, EdgeEvent, Interner, NodeId, ShardPlan, SlidingWindower, WindowDelta,
+    Aggregate, CommGraph, Edge, EdgeEvent, Interner, NodeId, ShardPlan, SlidingWindower,
+    WindowDelta,
 };
 use comsig_sketch::tier::SketchTier;
 
@@ -146,9 +151,14 @@ impl<'a> LiveState<'a> {
     /// Applies one window delta to the detector and records the
     /// query-visible outputs. The delta must come from this state's
     /// windower (live path) or from the WAL (replay path, where it is
-    /// verified against a fresh `windower.advance()` first).
+    /// verified against a fresh `windower.advance()` first), so under
+    /// the contract layer the exact tier's graph is checked against the
+    /// windower's aggregates.
     pub fn apply_window(&mut self, dist: &dyn BatchDistance, delta: &WindowDelta) {
         let (step, scores) = self.det.advance_with_anomaly(dist, delta);
+        if let Some(graph) = self.det.tier().window_graph() {
+            contract::check_window_graph(graph, self.windower.aggregates());
+        }
         self.windows += 1;
         self.last = Some(LastWindow {
             start: delta.start,
@@ -219,7 +229,26 @@ pub enum Origin<'s, 'b> {
     /// A snapshot body positioned just past the tier tag: tier state,
     /// then previous signatures, as
     /// [`encode_snapshot`](crate::snapshot::encode_snapshot) wrote them.
-    Snapshot(&'s mut Dec<'b>),
+    Snapshot {
+        /// The snapshot body.
+        dec: &'s mut Dec<'b>,
+        /// The size of the snapshot's label space.
+        num_nodes: usize,
+        /// The snapshot's windower, already decoded, whose aggregates
+        /// are the exact tier's window graph. Every node it names must
+        /// be below `num_nodes`.
+        windower: &'s SlidingWindower,
+    },
+}
+
+/// The exact tier's window graph over `num_nodes` nodes: the windower's
+/// aggregates, which are strictly ascending by pair, valid and in range.
+fn window_graph(num_nodes: usize, agg: &[Aggregate]) -> CommGraph {
+    let edges = agg
+        .iter()
+        .map(|&((src, dst), weight)| Edge { src, dst, weight })
+        .collect();
+    CommGraph::from_sorted_edges(num_nodes, edges)
 }
 
 /// Builds or decodes the configured tier, builds its matcher over the
@@ -234,11 +263,14 @@ pub enum Origin<'s, 'b> {
 /// Both matchers are pure functions of the signatures, so genesis and
 /// resume build them the same way and a snapshot never carries them.
 ///
+/// The exact tier's graph is always the windower's aggregates: none at
+/// genesis, the snapshot windower's on resume.
+///
 /// # Errors
 /// [`ServeError::Config`] for a non-sketchable scheme on the sketch
 /// tier; [`ServeError::Corrupt`] for snapshot state that does not decode,
-/// disagrees with the stamped sketch sizing, or whose parts are
-/// inconsistent with each other.
+/// disagrees with the stamped sketch sizing or the label space, or whose
+/// parts are inconsistent with each other.
 pub fn build_detector<'a>(
     scheme: &'a dyn DeltaScheme,
     config: &ServeConfig,
@@ -255,12 +287,25 @@ pub fn build_detector<'a>(
                     num_nodes,
                 },
             ) => {
-                let graph = CommGraph::empty(num_nodes);
+                let graph = window_graph(num_nodes, &[]);
                 let pipeline = SignaturePipeline::with_plan(scheme, graph, subjects, cfg.k, plan);
                 (Box::new(pipeline), None)
             }
-            (TierSpec::Exact, Origin::Snapshot(dec)) => {
-                let graph = persist::decode_graph(dec)?;
+            (
+                TierSpec::Exact,
+                Origin::Snapshot {
+                    dec,
+                    num_nodes,
+                    windower,
+                },
+            ) => {
+                let header = dec.u64("graph.num_nodes")?;
+                if header != num_nodes as u64 {
+                    return Err(ServeError::Corrupt(format!(
+                        "snapshot graph has {header} nodes, its label space {num_nodes}"
+                    )));
+                }
+                let graph = window_graph(num_nodes, windower.aggregates());
                 let current = persist::decode_signature_set(dec)?;
                 let prev = persist::decode_signature_set(dec)?;
                 let pipeline = SignaturePipeline::resume(scheme, graph, current, cfg.k, plan)
@@ -278,7 +323,7 @@ pub fn build_detector<'a>(
                 let tier = SketchTier::new(sketch, config.sketch, subjects, cfg.k, num_nodes);
                 (Box::new(tier), None)
             }
-            (TierSpec::Sketch, Origin::Snapshot(dec)) => {
+            (TierSpec::Sketch, Origin::Snapshot { dec, .. }) => {
                 let tier = SketchTier::decode_state(dec)?;
                 if tier.k() != config.k
                     || tier.stream().config() != config.sketch

@@ -9,9 +9,7 @@
 //!   outgoing edges (→ approximate Top Talkers), and an
 //!   [FM sketch](fm::FmSketch) per node estimates its in-degree `|I(j)|`
 //!   (→ approximate Unexpected Talkers). The [`stream`] module wires
-//!   these into one-pass signature extraction, and
-//!   [`topk::SpaceSaving`] is provided as the deterministic-guarantee
-//!   alternative heavy-hitter structure.
+//!   these into one-pass signature extraction.
 //! * **Scalable signature comparison**: [`minhash`] estimates the Jaccard
 //!   distance between signatures, and [`lsh`] indexes MinHash signatures
 //!   in banded hash tables for sub-linear approximate nearest-neighbour
@@ -26,10 +24,7 @@ pub mod cm;
 pub mod distinct;
 pub mod fm;
 pub mod hash;
-pub mod hll;
 pub mod lsh;
 pub mod minhash;
 pub mod stream;
 pub mod tier;
-pub mod topk;
-pub mod wminhash;

@@ -7,7 +7,6 @@ use comsig_graph::NodeId;
 use comsig_sketch::cm::CountMinSketch;
 use comsig_sketch::fm::FmSketch;
 use comsig_sketch::minhash::MinHasher;
-use comsig_sketch::topk::SpaceSaving;
 use proptest::prelude::*;
 
 proptest! {
@@ -86,29 +85,6 @@ proptest! {
         }
         a.merge(&b);
         prop_assert_eq!(a.estimate(), direct.estimate());
-    }
-
-    /// SpaceSaving invariants: counts never underestimate, `count − error`
-    /// never overestimates, and total mass is conserved.
-    #[test]
-    fn spacesaving_bounds(
-        stream in prop::collection::vec((0u64..40, 0.5f64..3.0), 1..400),
-        capacity in 1usize..24,
-    ) {
-        let mut ss = SpaceSaving::new(capacity);
-        let mut truth: HashMap<u64, f64> = HashMap::new();
-        for &(k, w) in &stream {
-            ss.update(k, w);
-            *truth.entry(k).or_insert(0.0) += w;
-        }
-        for c in ss.counters() {
-            let t = truth.get(&c.key).copied().unwrap_or(0.0);
-            prop_assert!(c.count >= t - 1e-9, "underestimate for {}", c.key);
-            prop_assert!(c.count - c.error <= t + 1e-9, "lower bound broken for {}", c.key);
-        }
-        let total: f64 = truth.values().sum();
-        prop_assert!((ss.total() - total).abs() < 1e-6);
-        prop_assert!(ss.counters().len() <= capacity);
     }
 
     /// MinHash distance estimates stay within [0,1], are symmetric, and
