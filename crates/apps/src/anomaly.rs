@@ -50,11 +50,11 @@ pub fn anomaly_scores(
 }
 
 /// Scores anomalies from two precomputed signature sets over the same
-/// subject population — the shape the streaming pipeline provides
-/// ([`stream::TieredAnomaly`](crate::stream::TieredAnomaly)), where
-/// consecutive windows' signatures are already maintained incrementally.
-/// The ordering rule (descending score, ties by ascending id) matches
-/// [`anomaly_scores`].
+/// subject population, with [`anomaly_scores`]' ordering rule. This is
+/// the reference sweep: the streaming detectors compute the same scores
+/// from one maintained set and the signatures its advance replaced
+/// ([`stream::SelfDistances`](crate::stream::SelfDistances)), and must
+/// equal this function bit for bit.
 pub fn anomaly_scores_from_sets(
     dist: &dyn SignatureDistance,
     sigs_t: &SignatureSet,

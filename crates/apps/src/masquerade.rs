@@ -17,8 +17,10 @@ use comsig_core::distance::BatchDistance;
 use comsig_core::scheme::SignatureScheme;
 use comsig_core::SignatureSet;
 use comsig_eval::ann::SubjectMatcher;
-use comsig_eval::index::{MatchWorkspace, PostingsIndex};
+use comsig_eval::index::PostingsIndex;
 use comsig_graph::{CommGraph, GraphBuilder, NodeId, ShardPlan};
+
+use crate::stream::SelfDistances;
 
 fn shuffle<R: Rng + ?Sized, T>(rng: &mut R, xs: &mut [T]) {
     for i in (1..xs.len()).rev() {
@@ -40,14 +42,6 @@ impl MasqueradePlan {
     /// The perturbed node set `P`.
     pub fn perturbed_nodes(&self) -> Vec<NodeId> {
         self.mapping.iter().map(|&(v, _)| v).collect()
-    }
-
-    /// Looks up the new label of `v`, if `v` masquerades.
-    pub fn new_label_of(&self, v: NodeId) -> Option<NodeId> {
-        self.mapping
-            .iter()
-            .find(|&&(src, _)| src == v)
-            .map(|&(_, dst)| dst)
     }
 }
 
@@ -147,37 +141,18 @@ pub fn detect_label_masquerading(
     let sigs_t = scheme.signature_set(g_t, subjects, cfg.k);
     let sigs_t1 = scheme.signature_set(g_t1, subjects, cfg.k);
     let index = PostingsIndex::build(&sigs_t1);
-    run_algorithm1(dist, &sigs_t, &index, cfg)
+    run_algorithm1_with(dist, &sigs_t, &index, cfg, &ShardPlan::new(1))
 }
 
-/// The signature-level core of Algorithm 1, shared by the batch detector
-/// above and the streaming detector
-/// ([`stream::TieredMasquerade`](crate::stream::TieredMasquerade)):
-/// takes the window-`t` signatures and an inverted index over the
-/// window-`t+1` signatures of the same subjects. Given bit-identical
-/// signature sets, both callers produce identical [`Detection`]s.
-pub fn run_algorithm1(
-    dist: &dyn BatchDistance,
-    sigs_t: &SignatureSet,
-    index_t1: &PostingsIndex<'_>,
-    cfg: &DetectorConfig,
-) -> Detection {
-    run_algorithm1_with(dist, sigs_t, index_t1, cfg, &ShardPlan::new(1))
-}
-
-/// [`run_algorithm1`], sharded per `plan` and generic over the matcher
-/// seam ([`SubjectMatcher`]): pass a [`PostingsIndex`] for the exact
-/// tier or an [`AnnIndex`](comsig_eval::ann::AnnIndex) for LSH-fronted
-/// candidate generation with exact re-scoring. Both phases parallelise
-/// over subjects with an order-preserving merge, so the output is
-/// bit-identical at every thread count:
+/// Algorithm 1 at the signature level: the window-`t` signatures against
+/// a matcher over the window-`t+1` signatures of the same subjects,
+/// sharded per `plan`. Pass a [`PostingsIndex`] for the exact tier or an
+/// [`AnnIndex`](comsig_eval::ann::AnnIndex) for LSH-fronted candidate
+/// generation with exact re-scoring. Bit-identical at every thread count.
 ///
-/// * self-similarities are computed per shard but collected and **summed
-///   in subject order**, so the adaptive threshold `δ` sees the same
-///   float additions as the serial pass;
-/// * each shard resolves its suspects with a private [`MatchWorkspace`]
-///   (index sweeps are read-only), and the per-subject verdicts are
-///   folded into `non_suspects` / `detected` serially in subject order.
+/// The reference sweep, over two full signature sets: the streaming
+/// detector's [`SelfDistances::sweep`] reads one set and the signatures
+/// its advance replaced, and must equal this bit for bit.
 pub fn run_algorithm1_with<M: SubjectMatcher + ?Sized>(
     dist: &dyn BatchDistance,
     sigs_t: &SignatureSet,
@@ -188,20 +163,19 @@ pub fn run_algorithm1_with<M: SubjectMatcher + ?Sized>(
     let subjects = sigs_t.subjects();
     let sigs_t1 = index_t1.candidate_set();
     let ranges = plan.ranges(subjects.len());
-
-    // Self-similarities A[v, v], in subject order.
-    let sims: Vec<f64> = rayon::scope_chunks(&ranges, |_, r| {
+    // Self-distances Dist(σ_t(v), σ_{t+1}(v)), in subject order.
+    let distances: Vec<f64> = rayon::scope_chunks(&ranges, |_, r| {
         subjects[r]
             .iter()
             .map(|&v| {
                 // A subject missing from either window cannot be
-                // compared; treating it as fully self-similar (sim 1.0)
-                // keeps it clear of the suspect set instead of
-                // panicking. Both sets cover `subjects` by construction,
-                // so this is pure degradation armor.
+                // compared; treating it as fully self-similar (distance
+                // 0, sim 1.0) keeps it clear of the suspect set instead
+                // of panicking. Both sets cover `subjects` by
+                // construction, so this is pure degradation armor.
                 match (sigs_t.get(v), sigs_t1.get(v)) {
-                    (Some(a), Some(b)) => 1.0 - dist.distance(a, b),
-                    _ => 1.0,
+                    (Some(a), Some(b)) => dist.distance(a, b),
+                    _ => 0.0,
                 }
             })
             .collect::<Vec<f64>>()
@@ -209,67 +183,12 @@ pub fn run_algorithm1_with<M: SubjectMatcher + ?Sized>(
     .into_iter()
     .flatten()
     .collect();
-    let delta = if subjects.is_empty() {
-        0.0
-    } else {
-        sims.iter().sum::<f64>() / (cfg.threshold_divisor * subjects.len() as f64)
-    };
-    let self_sim: FxHashMap<NodeId, f64> =
-        subjects.iter().copied().zip(sims.iter().copied()).collect();
-
-    // Cross-match suspects through the inverted index: built once over
-    // the window-t+1 signatures, each suspect costs one top-ℓ posting
-    // sweep (ascending distance == descending similarity, ties by id)
-    // instead of a full |V| scan and sort.
-    enum Verdict {
-        Clear,
-        Pair(NodeId),
+    SelfDistances {
+        order: sigs_t,
+        previous: sigs_t.signatures().iter().collect(),
+        distances,
     }
-    let verdicts: Vec<Verdict> = rayon::scope_chunks(&ranges, |_, r| {
-        let mut ws = MatchWorkspace::new();
-        // One top-ℓ buffer per shard, recycled across its suspects —
-        // `rank_top_l_into` clears it, so no per-subject Vec churn.
-        let mut top: Vec<(NodeId, f64)> = Vec::new();
-        subjects[r]
-            .iter()
-            .map(|&v| {
-                // `self_sim` covers every subject; a miss means the
-                // subject was unscorable above — treat as clear.
-                if self_sim.get(&v).is_none_or(|&s| s > delta) {
-                    return Verdict::Clear;
-                }
-                // v looks unlike itself: find who v's old behaviour
-                // moved to.
-                let Some(q) = sigs_t.get(v) else {
-                    return Verdict::Clear;
-                };
-                index_t1.rank_top_l_into(dist, q, cfg.top_l, &mut ws, &mut top);
-                let hit = top
-                    .iter()
-                    .find(|&&(u, _)| u != v && self_sim.get(&u).is_some_and(|&s| s <= delta));
-                match hit {
-                    Some(&(u, _)) => Verdict::Pair(u),
-                    None => Verdict::Clear,
-                }
-            })
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    let mut non_suspects = Vec::new();
-    let mut detected = Vec::new();
-    for (&v, verdict) in subjects.iter().zip(&verdicts) {
-        match *verdict {
-            Verdict::Clear => non_suspects.push(v),
-            Verdict::Pair(u) => detected.push((v, u)),
-        }
-    }
-    Detection {
-        non_suspects,
-        detected,
-        delta,
-    }
+    .algorithm1(dist, index_t1, cfg, plan)
 }
 
 /// The paper's accuracy criterion:

@@ -1,87 +1,217 @@
-//! Online window-over-window detectors over the signature tier seam.
+//! Online window-over-window detection over the signature tier seam.
 //!
 //! The batch detectors ([`masquerade`](crate::masquerade),
 //! [`anomaly`](crate::anomaly)) recompute every signature and rebuild
-//! the matching index for each pair of windows. [`TieredMasquerade`] and
-//! [`TieredAnomaly`] instead drive a boxed [`SignatureTier`] — the exact
+//! the matching index for each pair of windows. [`TieredMasquerade`]
+//! instead drives a boxed [`SignatureTier`] — the exact
 //! `SignaturePipeline` or the bounded-memory
-//! [`SketchTier`](comsig_sketch::tier::SketchTier) — and patch only the
+//! [`SketchTier`](comsig_sketch::tier::SketchTier) — and patches only the
 //! dirty subjects per [`WindowDelta`] into a maintained boxed
 //! [`SubjectMatcher`].
+//!
+//! The detector keeps one signature set, the tier's. Algorithm 1's
+//! self-persistence and the anomaly score both read
+//! `Dist(σ_t(v), σ_{t+1}(v))`, which [`SelfDistances`] computes once per
+//! advance for every subject, clean ones too (`Cosine`'s `Dist(σ, σ)` is
+//! not always zero), from the current set and the replaced signatures.
 //!
 //! Over the exact pipeline and a `PostingsIndex`, signatures, index and
 //! detector outputs are **bit-identical** to running the batch detector
 //! on cold rebuilds of the same windows (asserted by the tests below
 //! and, per advance, by the `check_pipeline_equiv` contract). Over the
 //! sketch tier and an LSH-fronted `AnnIndex`, they trade documented
-//! one-sided error bands for bounded state. The detectors never ask
-//! which pair they hold: the caller picks it once, at construction.
+//! one-sided error bands for bounded state. The detector never asks
+//! which pair it holds: the caller picks it once, at construction.
 
-use comsig_core::distance::{BatchDistance, SignatureDistance};
+use comsig_core::distance::BatchDistance;
 use comsig_core::pipeline::AdvanceReport;
-use comsig_core::{Signature, SignatureSet, SignatureTier, TierMemory};
+use comsig_core::{Signature, SignatureSet, SignatureTier};
 use comsig_eval::ann::SubjectMatcher;
 use comsig_eval::index::MatchWorkspace;
 use comsig_eval::ranking::Ranking;
-use comsig_graph::{ShardPlan, WindowDelta};
+use comsig_graph::{NodeId, ShardPlan, WindowDelta};
 
-use crate::anomaly::{anomaly_scores_from_sets, AnomalyScore};
-use crate::masquerade::{run_algorithm1_with, Detection, DetectorConfig};
+use crate::anomaly::AnomalyScore;
+use crate::masquerade::{Detection, DetectorConfig};
 
-/// The streaming label-masquerading detector (Algorithm 1, online): a
-/// [`SignatureTier`] maintaining the window's signatures and a
-/// [`SubjectMatcher`] ranking them. Each [`advance`](Self::advance)
-/// compares the previous window's signatures against the new window's,
-/// exactly as the batch detector would with `(G_t, G_{t+1})`.
+/// One window pair's self-distances `Dist(σ_t(v), σ_{t+1}(v))`, read by
+/// both verdicts; `previous` (the window-`t` signatures) and `distances`
+/// are parallel to `order`'s subjects.
+pub struct SelfDistances<'s> {
+    pub(crate) order: &'s SignatureSet,
+    pub(crate) previous: Vec<&'s Signature>,
+    pub(crate) distances: Vec<f64>,
+}
+
+impl<'s> SelfDistances<'s> {
+    /// The sweep after one tier advance: the previous window is `current`
+    /// with `report.replaced` swapped back in. Bit-identical at every
+    /// thread count.
+    #[must_use]
+    pub fn sweep(
+        dist: &dyn BatchDistance,
+        current: &'s SignatureSet,
+        report: &'s AdvanceReport,
+        plan: &ShardPlan,
+    ) -> Self {
+        let mut previous: Vec<&Signature> = current.signatures().iter().collect();
+        for (&v, old) in report.dirty.iter().zip(&report.replaced) {
+            if let Some(slot) = current.position(v).and_then(|i| previous.get_mut(i)) {
+                *slot = old;
+            }
+        }
+        let ranges = plan.ranges(previous.len());
+        let (old, new) = (&previous, current.signatures());
+        let distances = rayon::scope_chunks(&ranges, |_, r| {
+            shard(old, &r)
+                .iter()
+                .zip(shard(new, &r))
+                .map(|(a, b)| dist.distance(a, b))
+                .collect::<Vec<f64>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        SelfDistances {
+            order: current,
+            previous,
+            distances,
+        }
+    }
+
+    /// Algorithm 1 for the pair, cross-matching each suspect's window-`t`
+    /// signature against `matcher`, which holds the window-`t+1` ones.
+    ///
+    /// * self-similarities `1 − d` are **summed in subject order**, so
+    ///   the adaptive threshold `δ` sees the same float additions at
+    ///   every thread count;
+    /// * each shard resolves its suspects with a private
+    ///   [`MatchWorkspace`] (index sweeps are read-only), and the verdicts
+    ///   are folded into `non_suspects` / `detected` in subject order.
+    #[must_use]
+    pub fn algorithm1<M: SubjectMatcher + ?Sized>(
+        &self,
+        dist: &dyn BatchDistance,
+        matcher: &M,
+        cfg: &DetectorConfig,
+        plan: &ShardPlan,
+    ) -> Detection {
+        let subjects = self.order.subjects();
+        let ranges = plan.ranges(subjects.len());
+        let distances = &self.distances;
+        let delta = if subjects.is_empty() {
+            0.0
+        } else {
+            distances.iter().map(|&d| 1.0 - d).sum::<f64>()
+                / (cfg.threshold_divisor * subjects.len() as f64)
+        };
+        // A suspect looks unlike itself: self-similarity at most δ,
+        // looked up by subject position.
+        let suspect = |u: NodeId| {
+            self.order
+                .position(u)
+                .and_then(|i| distances.get(i))
+                .is_some_and(|&d| 1.0 - d <= delta)
+        };
+        // Cross-match suspects through the matcher: each costs one top-ℓ
+        // posting sweep (ascending distance, ties by id), not a |V| scan.
+        let verdicts: Vec<Option<NodeId>> = rayon::scope_chunks(&ranges, |_, r| {
+            let mut ws = MatchWorkspace::new();
+            // One top-ℓ buffer per shard, recycled across its suspects.
+            let mut top: Vec<(NodeId, f64)> = Vec::new();
+            shard(subjects, &r)
+                .iter()
+                .zip(shard(distances, &r))
+                .zip(shard(&self.previous, &r))
+                .map(|((&v, &d), &q)| {
+                    if 1.0 - d > delta {
+                        return None;
+                    }
+                    // v looks unlike itself: find who v's old behaviour
+                    // moved to.
+                    matcher.rank_top_l_into(dist, q, cfg.top_l, &mut ws, &mut top);
+                    top.iter()
+                        .find(|&&(u, _)| u != v && suspect(u))
+                        .map(|&(u, _)| u)
+                })
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        let mut non_suspects = Vec::new();
+        let mut detected = Vec::new();
+        for (&v, verdict) in subjects.iter().zip(verdicts) {
+            match verdict {
+                None => non_suspects.push(v),
+                Some(u) => detected.push((v, u)),
+            }
+        }
+        Detection {
+            non_suspects,
+            detected,
+            delta,
+        }
+    }
+
+    /// The anomaly scores for the pair, most anomalous first.
+    #[must_use]
+    pub fn anomaly_scores(&self) -> Vec<AnomalyScore> {
+        let mut scores: Vec<AnomalyScore> = self
+            .order
+            .subjects()
+            .iter()
+            .zip(&self.distances)
+            .map(|(&node, &score)| AnomalyScore { node, score })
+            .collect();
+        scores.sort_by(|x, y| y.score.total_cmp(&x.score).then(x.node.cmp(&y.node)));
+        scores
+    }
+}
+
+/// The shard `r` of `xs`; `ShardPlan::ranges` stays within the length
+/// it was given, so the fallback to an empty shard is never taken.
+fn shard<'x, T>(xs: &'x [T], r: &std::ops::Range<usize>) -> &'x [T] {
+    xs.get(r.clone()).unwrap_or_default()
+}
+
+/// The streaming window-over-window detector: a [`SignatureTier`]
+/// maintaining the window's signatures and a [`SubjectMatcher`] ranking
+/// them. Each [`advance`](Self::advance) runs Algorithm 1 and scores
+/// anomalies between the previous window's signatures and the new
+/// window's, exactly as the batch detectors would with `(G_t, G_{t+1})`.
 pub struct TieredMasquerade<'a> {
     tier: Box<dyn SignatureTier + 'a>,
     matcher: Box<dyn SubjectMatcher>,
     cfg: DetectorConfig,
     plan: ShardPlan,
-    /// The previous window's signatures, double-buffered: after each
-    /// advance only the dirty subjects are patched in, instead of
-    /// cloning the full set every window.
-    prev: SignatureSet,
 }
 
 impl<'a> TieredMasquerade<'a> {
-    /// Assembles a detector from a seeded (or resumed) tier, a matcher
-    /// over the tier's current signatures, and the previous window's
-    /// signatures — the tier's current ones on a fresh start.
+    /// Assembles a detector from a seeded (or resumed) tier and a
+    /// matcher over the tier's current signatures.
     ///
     /// # Errors
-    /// Returns an error when the parts are inconsistent: `prev` covers a
-    /// different subject population than the tier, or the matcher's
-    /// candidates diverge from the tier's signatures. Both are checked
-    /// because resume assembles the parts from untrusted snapshot bytes.
+    /// Returns an error when the matcher's candidates diverge from the
+    /// tier's signatures. This is checked because resume assembles the
+    /// parts from untrusted snapshot bytes.
     pub fn from_parts(
         tier: Box<dyn SignatureTier + 'a>,
         matcher: Box<dyn SubjectMatcher>,
         cfg: DetectorConfig,
         plan: ShardPlan,
-        prev: SignatureSet,
     ) -> Result<Self, String> {
-        let current = tier.signatures();
-        if prev.subjects() != current.subjects() {
-            return Err("detector resume: prev/current subject lists differ".into());
-        }
-        let candidates = matcher.candidate_set();
-        if candidates.subjects() != current.subjects() {
-            return Err("detector resume: index candidates diverge from the signature set".into());
-        }
-        if candidates
-            .iter()
-            .zip(current.iter())
-            .any(|((_, a), (_, b))| a != b)
+        let (current, candidates) = (tier.signatures(), matcher.candidate_set());
+        if candidates.subjects() != current.subjects()
+            || candidates.signatures() != current.signatures()
         {
-            return Err("detector resume: index candidate signatures diverge from the set".into());
+            return Err("detector resume: index candidates diverge from the signature set".into());
         }
         Ok(TieredMasquerade {
             tier,
             matcher,
             cfg,
             plan,
-            prev,
         })
     }
 
@@ -97,8 +227,8 @@ impl<'a> TieredMasquerade<'a> {
         self.tier.as_ref()
     }
 
-    /// Gives up the matcher and previous-window buffer, keeping only the
-    /// tier — e.g. to drive a [`TieredAnomaly`] over it.
+    /// Gives up the matcher, keeping only the tier — e.g. to score
+    /// anomalies alone with [`SelfDistances`].
     #[must_use]
     pub fn into_tier(self) -> Box<dyn SignatureTier + 'a> {
         self.tier
@@ -110,22 +240,10 @@ impl<'a> TieredMasquerade<'a> {
         self.tier.signatures()
     }
 
-    /// The previous window's signatures (the double buffer's back side).
-    #[must_use]
-    pub fn prev_signatures(&self) -> &SignatureSet {
-        &self.prev
-    }
-
     /// The maintained matcher over the current signatures.
     #[must_use]
     pub fn matcher(&self) -> &dyn SubjectMatcher {
         self.matcher.as_ref()
-    }
-
-    /// The tier's resident-state accounting.
-    #[must_use]
-    pub fn tier_memory(&self) -> TierMemory {
-        self.tier.memory()
     }
 
     /// Ranks `sig` against the maintained candidates, keeping the best
@@ -139,37 +257,12 @@ impl<'a> TieredMasquerade<'a> {
         Ranking::from_sorted(entries)
     }
 
-    /// Consumes the next window's delta and runs Algorithm 1 between the
-    /// previous and the new window. Returns the detection plus the
-    /// tier's advance report.
+    /// Consumes the next window's delta, patches the matcher with the
+    /// dirty subjects, and sweeps the window pair once for both verdicts:
+    /// Algorithm 1 and the anomaly scores.
     pub fn advance(&mut self, dist: &dyn BatchDistance, delta: &WindowDelta) -> StreamDetection {
-        let (detection, _) = self.advance_inner(dist, delta, false);
-        detection
-    }
-
-    /// [`advance`](Self::advance) that additionally computes the
-    /// per-subject anomaly scores for the same window pair **before**
-    /// rolling the double buffer, so one maintained detector serves both
-    /// verdicts (the `comsig serve` query plane). Scores are
-    /// bit-identical to [`TieredAnomaly::advance`] over the same tier
-    /// and stream.
-    pub fn advance_with_anomaly(
-        &mut self,
-        dist: &dyn BatchDistance,
-        delta: &WindowDelta,
-    ) -> (StreamDetection, Vec<AnomalyScore>) {
-        let (detection, scores) = self.advance_inner(dist, delta, true);
-        (detection, scores.unwrap_or_default())
-    }
-
-    fn advance_inner(
-        &mut self,
-        dist: &dyn BatchDistance,
-        delta: &WindowDelta,
-        with_anomaly: bool,
-    ) -> (StreamDetection, Option<Vec<AnomalyScore>>) {
         let report = self.tier.advance_window(delta);
-        let new_sigs = self.tier.signatures();
+        let current = self.tier.signatures();
         // The tier maintains every subject it reports dirty; a miss
         // would mean the maintained set drifted, and skipping the
         // subject degrades the window instead of killing the stream.
@@ -177,101 +270,38 @@ impl<'a> TieredMasquerade<'a> {
             report
                 .dirty
                 .iter()
-                .filter_map(|&v| new_sigs.get(v).map(|sig| (v, sig.clone())))
+                .filter_map(|&v| current.get(v).map(|sig| (v, sig.clone())))
                 .collect(),
             &self.plan,
         );
-        let detection = run_algorithm1_with(
-            dist,
-            &self.prev,
-            self.matcher.as_ref(),
-            &self.cfg,
-            &self.plan,
-        );
-        let scores = with_anomaly.then(|| anomaly_scores_from_sets(dist, &self.prev, new_sigs));
-        // Roll the double buffer forward: only the dirty subjects differ
-        // between the windows.
-        for &v in &report.dirty {
-            if let Some(sig) = new_sigs.get(v) {
-                let _ = self.prev.replace(v, sig.clone());
-            }
+        let pair = SelfDistances::sweep(dist, current, &report, &self.plan);
+        let detection = pair.algorithm1(dist, self.matcher.as_ref(), &self.cfg, &self.plan);
+        let scores = pair.anomaly_scores();
+        StreamDetection {
+            detection,
+            scores,
+            report,
         }
-        (StreamDetection { detection, report }, scores)
     }
 }
 
-/// One streaming masquerade step: the Algorithm-1 output for the window
-/// pair plus what the tier did to produce it.
+/// One streaming step: both verdicts for the window pair plus what the
+/// tier did to produce it.
 #[derive(Debug, Clone)]
 pub struct StreamDetection {
     /// Algorithm 1's verdict for (previous window, new window).
     pub detection: Detection,
+    /// Per-subject anomaly scores for the pair, most anomalous first.
+    pub scores: Vec<AnomalyScore>,
     /// The tier advance that produced the new window.
     pub report: AdvanceReport,
-}
-
-/// The streaming anomaly detector: scores every subject's signature
-/// change across consecutive windows, with signatures maintained
-/// incrementally by any [`SignatureTier`].
-pub struct TieredAnomaly<'a> {
-    tier: Box<dyn SignatureTier + 'a>,
-    /// Previous window's signatures, patched per advance from the dirty
-    /// list (same double-buffer discipline as [`TieredMasquerade`]).
-    prev: SignatureSet,
-}
-
-impl<'a> TieredAnomaly<'a> {
-    /// Wraps an already-seeded tier; the previous-window buffer starts
-    /// at the tier's current signatures.
-    #[must_use]
-    pub fn from_tier(tier: Box<dyn SignatureTier + 'a>) -> Self {
-        let prev = tier.signatures().clone();
-        TieredAnomaly { tier, prev }
-    }
-
-    /// The signature tier driving the detector.
-    #[must_use]
-    pub fn tier(&self) -> &dyn SignatureTier {
-        self.tier.as_ref()
-    }
-
-    /// The current window's signatures.
-    #[must_use]
-    pub fn signatures(&self) -> &SignatureSet {
-        self.tier.signatures()
-    }
-
-    /// The tier's resident-state accounting.
-    #[must_use]
-    pub fn tier_memory(&self) -> TierMemory {
-        self.tier.memory()
-    }
-
-    /// Consumes the next window's delta and returns the per-subject
-    /// anomaly scores between the previous and the new window (sorted
-    /// most-anomalous first), plus the tier's advance report.
-    pub fn advance(
-        &mut self,
-        dist: &dyn SignatureDistance,
-        delta: &WindowDelta,
-    ) -> (Vec<AnomalyScore>, AdvanceReport) {
-        let report = self.tier.advance_window(delta);
-        let new_sigs = self.tier.signatures();
-        let scores = anomaly_scores_from_sets(dist, &self.prev, new_sigs);
-        // Skip any dirty subject the maintained set no longer carries
-        // rather than panicking mid-stream (never hit in practice).
-        for &v in &report.dirty {
-            if let Some(sig) = new_sigs.get(v) {
-                let _ = self.prev.replace(v, sig.clone());
-            }
-        }
-        (scores, report)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::anomaly::anomaly_scores_from_sets;
+    use crate::masquerade::run_algorithm1_with;
     use comsig_core::distance::SHel;
     use comsig_core::persist::{self, Dec, Enc, Fnv};
     use comsig_core::pipeline::{DeltaScheme, SignaturePipeline};
@@ -338,14 +368,21 @@ mod tests {
             plan,
         );
         let index = PostingsIndex::build_owned(pipeline.signatures().clone());
-        let prev = pipeline.signatures().clone();
-        TieredMasquerade::from_parts(Box::new(pipeline), Box::new(index), cfg, plan, prev)
+        TieredMasquerade::from_parts(Box::new(pipeline), Box::new(index), cfg, plan)
             .expect("fresh parts are consistent")
     }
 
-    fn exact_anomaly<'s>(scheme: &'s dyn DeltaScheme, subjects: &[NodeId]) -> TieredAnomaly<'s> {
-        let pipeline = SignaturePipeline::new(scheme, CommGraph::empty(NUM_NODES), subjects, 4);
-        TieredAnomaly::from_tier(Box::new(pipeline))
+    /// The anomaly-only driver: a bare tier and the shared sweep.
+    fn exact_anomaly<'s>(
+        scheme: &'s dyn DeltaScheme,
+        subjects: &[NodeId],
+    ) -> impl FnMut(&WindowDelta) -> Vec<AnomalyScore> + 's {
+        let mut pipeline = SignaturePipeline::new(scheme, CommGraph::empty(NUM_NODES), subjects, 4);
+        move |delta| {
+            let report = pipeline.advance(delta);
+            SelfDistances::sweep(&SHel, pipeline.signatures(), &report, &ShardPlan::new(2))
+                .anomaly_scores()
+        }
     }
 
     /// The matcher's contribution to the state digest: the postings
@@ -513,7 +550,7 @@ mod tests {
         let mut prev_graph = CommGraph::empty(NUM_NODES);
         for _ in 0..4 {
             let delta = w.advance();
-            let (scores, _) = det.advance(&SHel, &delta);
+            let scores = det(&delta);
             let cur_graph = cold_window(&events, delta.start, delta.end);
             let want = anomaly_scores_from_sets(
                 &SHel,
@@ -529,11 +566,13 @@ mod tests {
         }
     }
 
-    /// `advance_with_anomaly` must produce the exact detection of
-    /// `advance` and the exact scores of a parallel `TieredAnomaly`
-    /// over the same stream.
+    /// One advance's detection and scores must equal the reference
+    /// sweeps over a previous-window set kept by cloning, on a distance
+    /// whose `Dist(σ, σ)` is not always zero.
     #[test]
-    fn advance_with_anomaly_matches_both_detectors() {
+    fn advance_matches_both_reference_sweeps() {
+        use comsig_core::distance::Cosine;
+
         let scheme = Rwr::truncated(0.15, 2);
         let events = stream();
         let subjects: Vec<NodeId> = (0..6).map(n).collect();
@@ -541,28 +580,21 @@ mod tests {
             k: 4,
             ..DetectorConfig::default()
         };
-        let mut w1 = SlidingWindower::tumbling(0, 10);
-        let mut w2 = SlidingWindower::tumbling(0, 10);
+        let mut w = SlidingWindower::tumbling(0, 10);
         for &e in &events {
-            w1.push(e);
-            w2.push(e);
+            w.push(e);
         }
-        let mut combined = exact(&scheme, &subjects, cfg, ShardPlan::auto());
-        let mut masq = exact(&scheme, &subjects, cfg, ShardPlan::auto());
-        let mut anom = exact_anomaly(&scheme, &subjects);
+        let mut det = exact(&scheme, &subjects, cfg, ShardPlan::new(2));
         for _ in 0..4 {
-            let delta = w1.advance();
-            let delta2 = w2.advance();
-            let (det, scores) = combined.advance_with_anomaly(&SHel, &delta);
-            let want_det = masq.advance(&SHel, &delta2);
-            let (want_scores, _) = anom.advance(&SHel, &delta2);
-            assert_eq!(
-                det.detection.delta.to_bits(),
-                want_det.detection.delta.to_bits()
-            );
-            assert_eq!(det.detection.detected, want_det.detection.detected);
-            assert_eq!(scores.len(), want_scores.len());
-            for (a, b) in scores.iter().zip(&want_scores) {
+            let prev = det.signatures().clone();
+            let got = det.advance(&Cosine, &w.advance());
+            let want = run_algorithm1_with(&Cosine, &prev, det.matcher(), &cfg, &ShardPlan::new(1));
+            assert_eq!(got.detection.delta.to_bits(), want.delta.to_bits());
+            assert_eq!(got.detection.non_suspects, want.non_suspects);
+            assert_eq!(got.detection.detected, want.detected);
+            let want_scores = anomaly_scores_from_sets(&Cosine, &prev, det.signatures());
+            assert_eq!(got.scores.len(), want_scores.len());
+            for (a, b) in got.scores.iter().zip(&want_scores) {
                 assert_eq!(a.node, b.node);
                 assert_eq!(a.score.to_bits(), b.score.to_bits());
             }
@@ -613,20 +645,19 @@ mod tests {
         let index = PostingsIndex::build_owned(current.clone());
         let pipeline =
             SignaturePipeline::resume(&scheme, graph, current, cfg.k, plan).expect("in range");
-        let prev = det.prev_signatures().clone();
         let mut resumed =
-            TieredMasquerade::from_parts(Box::new(pipeline), Box::new(index), cfg, plan, prev)
+            TieredMasquerade::from_parts(Box::new(pipeline), Box::new(index), cfg, plan)
                 .expect("parts are consistent");
         assert_eq!(matcher_digest(&resumed), matcher_digest(&det));
         for _ in 0..2 {
             let delta = w.advance();
-            let (a, sa) = det.advance_with_anomaly(&SHel, &delta);
-            let (b, sb) = resumed.advance_with_anomaly(&SHel, &delta);
+            let a = det.advance(&SHel, &delta);
+            let b = resumed.advance(&SHel, &delta);
             assert_eq!(a.detection.delta.to_bits(), b.detection.delta.to_bits());
             assert_eq!(a.detection.detected, b.detection.detected);
             assert_eq!(a.report.dirty, b.report.dirty);
             assert_eq!(matcher_digest(&resumed), matcher_digest(&det));
-            for (x, y) in sa.iter().zip(&sb) {
+            for (x, y) in a.scores.iter().zip(&b.scores) {
                 assert_eq!(x.node, y.node);
                 assert_eq!(x.score.to_bits(), y.score.to_bits());
             }
@@ -645,24 +676,26 @@ mod tests {
             w.push(e);
         }
         let mut det = exact_anomaly(&scheme, &subjects);
-        let _ = det.advance(&SHel, &w.advance());
-        let _ = det.advance(&SHel, &w.advance());
+        let _ = det(&w.advance());
+        let _ = det(&w.advance());
         // Window 1 -> 2 is the swap.
-        let (scores, _) = det.advance(&SHel, &w.advance());
+        let scores = det(&w.advance());
         let top2: std::collections::HashSet<_> = scores[..2].iter().map(|s| s.node).collect();
         assert!(top2.contains(&n(0)) && top2.contains(&n(1)), "{scores:?}");
     }
 
-    /// The sketch pair: an LSH front over a sketch tier's signatures,
-    /// with `prev` defaulting to the tier's current signatures.
+    /// The sketch pair: an LSH front over `candidates`, by default the
+    /// sketch tier's signatures.
     fn sketch_parts(
         tier: SketchTier,
-        prev: Option<SignatureSet>,
+        candidates: Option<&SignatureSet>,
         cfg: DetectorConfig,
     ) -> Result<TieredMasquerade<'static>, String> {
-        let ann = AnnIndex::build(tier.signatures(), AnnConfig::default());
-        let prev = prev.unwrap_or_else(|| tier.signatures().clone());
-        TieredMasquerade::from_parts(Box::new(tier), Box::new(ann), cfg, ShardPlan::new(1), prev)
+        let ann = AnnIndex::build(
+            candidates.unwrap_or(tier.signatures()),
+            AnnConfig::default(),
+        );
+        TieredMasquerade::from_parts(Box::new(tier), Box::new(ann), cfg, ShardPlan::new(1))
     }
 
     fn sketch_masquerade() -> TieredMasquerade<'static> {
@@ -715,7 +748,7 @@ mod tests {
             }
         }
         assert!(swap_detected, "the window-2 swap must be detected");
-        let mem = det.tier_memory();
+        let mem = det.tier().memory();
         assert!(mem.state_entries > 0 && mem.state_bytes > 0);
     }
 
@@ -745,9 +778,9 @@ mod tests {
         }
     }
 
-    /// A sketch detector rebuilt from its tier's encoded state plus the
-    /// prev buffer must continue identically to the uninterrupted one —
-    /// the serve snapshot/recovery discipline for the sketch tier.
+    /// A sketch detector rebuilt from its tier's encoded state must
+    /// continue identically to the uninterrupted one — the serve
+    /// snapshot/recovery discipline for the sketch tier.
     #[test]
     fn sketch_resume_continues_identically() {
         let events = stream();
@@ -767,26 +800,26 @@ mod tests {
         let mut dec = Dec::new(&bytes);
         let tier = SketchTier::decode_state(&mut dec).expect("state decodes");
         dec.finish("sketch tier state").expect("no trailing bytes");
-        let mut resumed = sketch_parts(tier, Some(det.prev_signatures().clone()), *det.config())
-            .expect("parts are consistent");
+        let mut resumed = sketch_parts(tier, None, *det.config()).expect("parts are consistent");
 
         for _ in 0..2 {
             let delta = w.advance();
-            let (a, sa) = det.advance_with_anomaly(&SHel, &delta);
-            let (b, sb) = resumed.advance_with_anomaly(&SHel, &delta);
+            let a = det.advance(&SHel, &delta);
+            let b = resumed.advance(&SHel, &delta);
             assert_eq!(a.detection.delta.to_bits(), b.detection.delta.to_bits());
             assert_eq!(a.detection.detected, b.detection.detected);
             assert_eq!(a.detection.non_suspects, b.detection.non_suspects);
             assert_eq!(a.report.dirty, b.report.dirty);
-            assert_eq!(sa.len(), sb.len());
-            for (x, y) in sa.iter().zip(&sb) {
+            assert_eq!(a.scores.len(), b.scores.len());
+            for (x, y) in a.scores.iter().zip(&b.scores) {
                 assert_eq!(x.node, y.node);
                 assert_eq!(x.score.to_bits(), y.score.to_bits());
             }
         }
     }
 
-    /// Prev/current subject mismatches must be rejected on sketch resume.
+    /// A matcher over a different subject population than the tier must
+    /// be rejected on sketch resume.
     #[test]
     fn sketch_resume_rejects_subject_mismatch() {
         let tier = SketchTier::new(
@@ -797,6 +830,6 @@ mod tests {
             8,
         );
         let wrong = SignatureSet::new(vec![n(0)], vec![comsig_core::Signature::empty()]);
-        assert!(sketch_parts(tier, Some(wrong), DetectorConfig::default()).is_err());
+        assert!(sketch_parts(tier, Some(&wrong), DetectorConfig::default()).is_err());
     }
 }

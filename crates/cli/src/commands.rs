@@ -616,9 +616,9 @@ fn cmd_detect(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
 // --- stream ------------------------------------------------------------------
 
 fn cmd_stream(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
-    use comsig_apps::stream::TieredAnomaly;
+    use comsig_apps::stream::SelfDistances;
     use comsig_graph::SlidingWindower;
-    use comsig_serve::state::{build_detector, subject_sources, Origin};
+    use comsig_serve::state::{build_detector, plan_of, subject_sources, Origin};
 
     let (interner, events) = load_events(parsed, out)?;
     // One config pins the worker count through the tier advance, the
@@ -662,10 +662,13 @@ fn cmd_stream(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let label = |v: NodeId| interner.label(v).unwrap_or("?");
     let (memory, matcher_entries, dropped) = match task {
         "anomaly" => {
-            let mut det = TieredAnomaly::from_tier(det.into_tier());
+            let mut tier = det.into_tier();
+            let plan = plan_of(&config);
             while windower.pending_events() > 0 {
                 let delta = windower.advance();
-                let (scores, report) = det.advance(dist.as_ref(), &delta);
+                let report = tier.advance_window(&delta);
+                let scores = SelfDistances::sweep(dist.as_ref(), tier.signatures(), &report, &plan)
+                    .anomaly_scores();
                 writeln!(
                     out,
                     "window [{}, {}): {} edge changes, {}/{} recomputed",
@@ -679,7 +682,7 @@ fn cmd_stream(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
                     writeln!(out, "  {:16} score = {:.4}", label(s.node), s.score)?;
                 }
             }
-            (det.tier_memory(), 0, det.tier().dropped_changes())
+            (tier.memory(), 0, tier.dropped_changes())
         }
         "masquerade" => {
             let mut det = det;
@@ -702,7 +705,7 @@ fn cmd_stream(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
                 }
             }
             let entries = det.matcher().memory_entries();
-            (det.tier_memory(), entries, det.tier().dropped_changes())
+            (det.tier().memory(), entries, det.tier().dropped_changes())
         }
         other => {
             return Err(CliError::Usage(format!(

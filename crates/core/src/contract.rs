@@ -17,7 +17,9 @@
 //! * a streaming-pipeline advance must be bit-identical to a cold
 //!   rebuild ([`check_pipeline_equiv`]);
 //! * the exact tier's window graph is its windower's aggregates, bit for
-//!   bit ([`check_window_graph`]).
+//!   bit ([`check_window_graph`]);
+//! * a fast path equals its reference oracle bit for bit
+//!   ([`check_bit_equal`]), e.g. serve's detector sweep.
 //!
 //! Checks are **active in debug builds and when the `contracts` feature
 //! is enabled**; in a plain release build every checker compiles to a
@@ -215,6 +217,23 @@ pub fn check_window_graph(g: &CommGraph, agg: &[Aggregate]) {
             e.src,
             e.dst,
             e.weight
+        );
+    }
+}
+
+/// A fast path's output equals its reference oracle's bit for bit, as
+/// `Debug` prints them (floats in shortest round-trip form, so distinct
+/// bits print differently, NaN payloads aside). Callers compute the
+/// reference only when [`enabled`].
+///
+/// # Panics
+/// Panics (when [`enabled`]) if the two differ.
+pub fn check_bit_equal<T: std::fmt::Debug>(what: &str, got: &T, reference: &T) {
+    if enabled() {
+        let (got, reference) = (format!("{got:?}"), format!("{reference:?}"));
+        assert!(
+            got == reference,
+            "contract violation: {what} diverged: {got} vs {reference}"
         );
     }
 }

@@ -69,16 +69,6 @@ impl Fnv {
         self.write(&v.to_le_bytes());
     }
 
-    /// Folds a `u32` (little-endian bytes) into the digest.
-    pub fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Folds an `f64`'s bit pattern into the digest.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
     /// The digest so far.
     #[must_use]
     pub fn finish(&self) -> u64 {

@@ -46,7 +46,7 @@ use comsig_graph::{CommGraph, NodeId, ShardPlan, WindowDelta};
 
 use crate::contract;
 use crate::scheme::{PushRwr, Rwr, SignatureScheme, TopTalkers, UnexpectedTalkers, WalkDirection};
-use crate::signature::SignatureSet;
+use crate::signature::{Signature, SignatureSet};
 
 /// The subjects whose signatures a delta may have changed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -182,13 +182,16 @@ fn reverse_closure(
 }
 
 /// What one [`SignaturePipeline::advance`] did.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdvanceReport {
     /// Aggregated-edge changes in the applied delta.
     pub changed_edges: usize,
     /// The subjects actually recomputed, in maintained subject order —
     /// exactly the set a downstream index must patch.
     pub dirty: Vec<NodeId>,
+    /// The signatures the advance replaced (moved out, not cloned),
+    /// parallel to `dirty`: each one's previous-window signature.
+    pub replaced: Vec<Signature>,
     /// Total subjects maintained by the pipeline.
     pub total_subjects: usize,
     /// Whether the scheme forced a full recompute ([`DirtySet::All`]).
@@ -276,10 +279,9 @@ impl<'a, S: DeltaScheme + ?Sized> SignaturePipeline<'a, S> {
     /// `comsig serve` recovery path does).
     ///
     /// # Errors
-    /// Returns an error if a signature-set subject is out of range for
-    /// the graph's node space; deeper mismatches (a set that is not the
-    /// scheme's output for this graph) are the caller's digest check to
-    /// catch.
+    /// Returns an error if a subject or signature entry lies outside the
+    /// graph's node space; deeper mismatches (a set that is not the
+    /// scheme's output for this graph) are the caller's digest check.
     pub fn resume(
         scheme: &'a S,
         graph: CommGraph,
@@ -287,13 +289,9 @@ impl<'a, S: DeltaScheme + ?Sized> SignaturePipeline<'a, S> {
         k: usize,
         plan: ShardPlan,
     ) -> Result<Self, String> {
-        if let Some(&v) = set
-            .subjects()
-            .iter()
-            .find(|v| v.index() >= graph.num_nodes())
-        {
+        if let Some(v) = set.node_outside(graph.num_nodes()) {
             return Err(format!(
-                "pipeline resume: subject {v} out of range for |V| = {}",
+                "pipeline resume: node {v} outside the {}-node graph",
                 graph.num_nodes()
             ));
         }
@@ -368,14 +366,16 @@ impl<'a, S: DeltaScheme + ?Sized> SignaturePipeline<'a, S> {
         let (scheme, k, g) = (self.scheme, self.k, &new_graph);
         let shard_sigs =
             rayon::scope_chunks(&ranges, |_, r| scheme.signature_chunk(g, &dirty_buf[r], k));
+        let mut replaced = Vec::with_capacity(dirty_buf.len());
         for (range, sigs) in ranges.iter().zip(shard_sigs) {
             for (&v, sig) in dirty_buf[range.clone()].iter().zip(sigs) {
-                let _ = self.set.replace(v, sig);
+                replaced.push(self.set.replace(v, sig));
             }
         }
         let report = AdvanceReport {
             changed_edges: delta.len(),
             dirty: self.dirty_buf.clone(),
+            replaced,
             total_subjects: total,
             full_recompute,
         };

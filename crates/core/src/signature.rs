@@ -342,10 +342,25 @@ impl SignatureSet {
         &self.subjects
     }
 
+    /// The signatures, parallel to [`subjects`](Self::subjects).
+    #[must_use]
+    pub fn signatures(&self) -> &[Signature] {
+        &self.signatures
+    }
+
     /// The signature of subject `v`, if present.
     #[must_use]
     pub fn get(&self, v: NodeId) -> Option<&Signature> {
         self.index.get(&v).map(|&i| &self.signatures[i])
+    }
+
+    /// The first subject or signature entry naming a node at or above
+    /// `num_nodes`, if any: decoders check a set against their node space.
+    #[must_use]
+    pub fn node_outside(&self, num_nodes: usize) -> Option<NodeId> {
+        self.iter()
+            .flat_map(|(v, sig)| sig.iter().map(|(u, _)| u).chain([v]))
+            .find(|u| u.index() >= num_nodes)
     }
 
     /// The construction-order position of subject `v`, if present.

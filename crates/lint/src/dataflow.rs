@@ -21,13 +21,12 @@ pub const PANIC_ROOTS: &[&str] = &[
     "SignaturePipeline::advance",
     "PostingsIndex::update",
     "merge_score",
-    // The tier seam: both streaming detectors drive a boxed tier and
-    // matcher, and the sketch tier's advance is a hot path of its own
-    // (every window folds the delta into the sketches and re-ranks
-    // through the LSH-fronted matcher).
+    // The tier seam: the streaming detector drives a boxed tier and
+    // matcher and sweeps each window pair once; the sketch tier's advance
+    // is a hot path of its own (every window folds the delta into the
+    // sketches and re-ranks through the LSH-fronted matcher).
     "TieredMasquerade::advance",
-    "TieredMasquerade::advance_with_anomaly",
-    "TieredAnomaly::advance",
+    "SelfDistances::sweep",
     "SketchTier::advance_window",
     "AnnIndex::patch",
     // The serve daemon's request plane: a panic here kills the service,

@@ -713,9 +713,10 @@ mod tests {
     /// typed corruption naming the expected magic, never as a panic, a
     /// misread body, a replay divergence or a truncated tail. That covers
     /// snapshots v2 (which carried the postings layout), v3 (which
-    /// carried per-event windower state) and v4 (whose exact tier
-    /// carried its graph's edges), and a WAL without a header, which
-    /// every build before the header wrote.
+    /// carried per-event windower state), v4 (whose exact tier carried
+    /// its graph's edges) and v5 (which carried the previous window's
+    /// signatures), and a WAL without a header, which every build
+    /// before the header wrote.
     #[test]
     fn previous_snapshot_format_is_typed_corruption() {
         let scheme = TopTalkers;
@@ -743,6 +744,7 @@ mod tests {
             "comsig-serve-snapshot v2",
             "comsig-serve-snapshot v3",
             "comsig-serve-snapshot v4",
+            "comsig-serve-snapshot v5",
         ] {
             let dir = temp_dir(&old.replace(' ', "-"));
             let (mut s, _) = DurableState::open(

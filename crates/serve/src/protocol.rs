@@ -138,7 +138,7 @@ fn dispatch(state: &mut DurableState<'_>, op: &str, request: &Value) -> Value {
                 "ready"
             };
             let next = live.windower.next_window();
-            let tier_mem = live.det.tier_memory();
+            let tier_mem = live.det.tier().memory();
             json!({
                 "ok": true,
                 "phase": phase,

@@ -6,17 +6,19 @@
 //! mid-write leaves at worst a stale `.tmp` sibling that the next
 //! rotation overwrites. The body carries the config stamp, the frozen
 //! label space, the complete windower state, then the detector in one
-//! tier-agnostic sequence — the tier tag, the tier's own state
-//! ([`SignatureTier::encode_state`](comsig_core::SignatureTier::encode_state))
-//! and the previous signature buffer — then the counters, the
-//! query-visible residue of the last advance, the WAL epoch this
+//! tier-agnostic sequence — the tier tag and the tier's own state
+//! ([`SignatureTier::encode_state`](comsig_core::SignatureTier::encode_state)),
+//! which holds the detector's one signature set — then the counters,
+//! the query-visible residue of the last advance, the WAL epoch this
 //! snapshot supersedes, and the state digest at capture, which decoding
 //! recomputes and verifies. No matcher state is stored: both matchers
 //! are functions of the tier's signatures, and decoding rebuilds them.
 //! Nor is the exact tier's window graph, beyond its node count: its
 //! edges are the windower's aggregates, and decoding rebuilds the graph
-//! from them. Every node id the windower names is checked against the
-//! label space before anything is built from it.
+//! from them. Nor is the previous window's signature set: the detector
+//! rebuilds what it needs of it from each advance's replaced
+//! signatures. Every node id the windower and the signatures name is
+//! checked against the label space before anything is built from it.
 
 use std::path::{Path, PathBuf};
 
@@ -28,10 +30,11 @@ use comsig_graph::{Interner, NodeId, SlidingWindower};
 use crate::config::{ServeConfig, ServeError};
 use crate::state::{build_detector, LastWindow, LiveState, Origin};
 
-/// Magic line of the snapshot container (v5: tier-tagged body, no
+/// Magic line of the snapshot container (v6: tier-tagged body, no
 /// matcher section, a windower of pending events, survivors and
-/// aggregates, and an exact tier of graph node count and signatures).
-pub const SNAPSHOT_MAGIC: &str = "comsig-serve-snapshot v5";
+/// aggregates, an exact tier of graph node count and signatures, and no
+/// previous-window signatures).
+pub const SNAPSHOT_MAGIC: &str = "comsig-serve-snapshot v6";
 
 /// The snapshot path inside a data directory.
 #[must_use]
@@ -67,7 +70,6 @@ pub fn encode_snapshot(config: &ServeConfig, live: &LiveState<'_>, wal_epoch: u6
     persist::encode_live_windower(&mut enc, &live.windower);
     enc.u8(config.tier.tag());
     live.det.tier().encode_state(&mut enc);
-    persist::encode_signature_set(&mut enc, live.det.prev_signatures());
     enc.u64(live.windows);
     enc.u64(live.ingested_events);
     match &live.last {
@@ -352,10 +354,10 @@ mod tests {
     fn snapshot_bytes_and_digest_are_pinned() {
         let scheme = TopTalkers;
         for (config, want_bytes, want_digest) in [
-            (test_config(), 0x498f_22af_58b9_6578, 0x1ae2_347f_e32c_176e),
+            (test_config(), 0x5435_c84b_6daa_193e, 0x1ae2_347f_e32c_176e),
             (
                 sketch_config(),
-                0x7f7f_b39f_9066_79d5,
+                0x2c5c_880b_4463_1097,
                 0x155e_cc21_042b_ab1e,
             ),
         ] {
@@ -384,8 +386,11 @@ mod tests {
         live: &LiveState<'_>,
         needle: &str,
     ) {
-        let body = encode_snapshot(config, live, 1);
-        match decode_snapshot(scheme, config, &body) {
+        expect_corrupt_body(scheme, config, &encode_snapshot(config, live, 1), needle);
+    }
+
+    fn expect_corrupt_body(scheme: &TopTalkers, config: &ServeConfig, body: &[u8], needle: &str) {
+        match decode_snapshot(scheme, config, body) {
             Err(ServeError::Corrupt(reason)) => assert!(reason.contains(needle), "{reason}"),
             Err(e) => panic!("expected typed corruption, got {e}"),
             Ok(_) => panic!("a snapshot naming nodes outside its label space must not load"),
@@ -454,6 +459,72 @@ mod tests {
         )
         .unwrap();
         expect_corrupt(&scheme, &config, &live, "nodes, its label space");
+    }
+
+    /// A snapshot whose signatures name a node outside its label space is
+    /// typed corruption on both tiers: the matchers size their slots by
+    /// node id, so only the range check stands between such a file and an
+    /// allocation sized by the bad id. On the exact tier the bad entry is
+    /// spliced into a valid body, as a file re-sealed with a consistent
+    /// body FNV would carry it; on the sketch tier the state digest is
+    /// consistent too.
+    #[test]
+    fn snapshot_rejects_signature_nodes_outside_the_label_space() {
+        use comsig_core::persist::{self, Enc};
+        use comsig_core::{Signature, SignatureSet};
+        use comsig_graph::{EdgeChange, WindowDelta};
+
+        let scheme = TopTalkers;
+        let needle = "outside the";
+
+        // Exact: the first signature names the node one past the label
+        // space.
+        let config = test_config();
+        let live = build_live(&scheme, &config);
+        let bad = NodeId::new(live.interner.len());
+        let (subjects, mut sigs) = live.det.signatures().clone().into_parts();
+        sigs[0] = Signature::from_sorted_entries(vec![(bad, 1.0)]).unwrap();
+        let mut good = Enc::new();
+        live.det.tier().encode_state(&mut good);
+        let good = good.into_bytes();
+        let mut evil = Enc::new();
+        evil.u64(live.interner.len() as u64);
+        persist::encode_signature_set(&mut evil, &SignatureSet::new(subjects, sigs));
+        let body = encode_snapshot(&config, &live, 1);
+        let at = body.windows(good.len()).position(|w| w == good).unwrap();
+        let body = [&body[..at], &evil.into_bytes(), &body[at + good.len()..]].concat();
+        expect_corrupt_body(&scheme, &config, &body, needle);
+
+        // Sketch: a tier over one node more than the label space folds a
+        // change the windower never saw.
+        let config = sketch_config();
+        let mut live = build_live(&scheme, &config);
+        let bad = NodeId::new(live.interner.len());
+        let v = live.subjects[0];
+        live.det = build_detector(
+            &scheme,
+            &config,
+            Origin::Genesis {
+                subjects: &live.subjects,
+                num_nodes: live.interner.len() + 1,
+            },
+        )
+        .unwrap();
+        let change = EdgeChange {
+            src: v,
+            dst: bad,
+            old: None,
+            new: Some(1.0),
+        };
+        let delta = WindowDelta {
+            start: 0,
+            end: 10,
+            changes: vec![change],
+        };
+        let _ = live.det.advance(&SHel, &delta);
+        let sig = live.det.signatures().get(v).unwrap();
+        assert!(sig.iter().any(|(u, _)| u == bad), "fixture shape");
+        expect_corrupt(&scheme, &config, &live, needle);
     }
 
     #[test]

@@ -11,24 +11,25 @@
 //! [`LiveState::state_digest`] is the bit-identity oracle. It folds the
 //! tier's durable state (exact: the graph's node count and the current
 //! signatures; sketch: the sketches, which embed the current
-//! signatures), the previous signature buffer and the full windower
-//! state into one FNV-1a digest, then the matcher's digest: the exact
-//! tier's postings layout digest, which is a function of the current
-//! signatures alone; the LSH front adds nothing. The exact tier's graph
-//! edges are not digested twice: they are the windower's aggregates,
-//! which the contract layer checks after every advance. An
+//! signatures), the current signatures again (the frozen slot of the
+//! dropped previous-window copy, which always equalled them) and the full
+//! windower state into one FNV-1a digest, then the matcher's digest: the
+//! exact tier's postings layout digest, which is a function of the
+//! current signatures alone; the LSH front adds nothing. The exact tier's
+//! graph edges are not digested twice: they are the windower's
+//! aggregates, which the contract layer checks after every advance. An
 //! uninterrupted run and a kill-and-resume run must produce equal
 //! digests at every window boundary — the WAL records the expected
 //! digest per advance and recovery verifies it.
 
-use comsig_apps::anomaly::AnomalyScore;
-use comsig_apps::masquerade::DetectorConfig;
+use comsig_apps::anomaly::{anomaly_scores_from_sets, AnomalyScore};
+use comsig_apps::masquerade::{run_algorithm1_with, DetectorConfig};
 use comsig_apps::stream::TieredMasquerade;
 use comsig_core::contract;
 use comsig_core::distance::BatchDistance;
 use comsig_core::persist::{self, Dec, Enc, Fnv};
 use comsig_core::pipeline::{DeltaScheme, SignaturePipeline};
-use comsig_core::{SignatureSet, SignatureTier};
+use comsig_core::SignatureTier;
 use comsig_eval::ann::{AnnIndex, SubjectMatcher};
 use comsig_eval::index::PostingsIndex;
 use comsig_graph::{
@@ -153,11 +154,25 @@ impl<'a> LiveState<'a> {
     /// windower (live path) or from the WAL (replay path, where it is
     /// verified against a fresh `windower.advance()` first), so under
     /// the contract layer the exact tier's graph is checked against the
-    /// windower's aggregates.
+    /// windower's aggregates, and the served verdicts against the
+    /// reference sweep.
     pub fn apply_window(&mut self, dist: &dyn BatchDistance, delta: &WindowDelta) {
-        let (step, scores) = self.det.advance_with_anomaly(dist, delta);
+        let step = self.det.advance(dist, delta);
         if let Some(graph) = self.det.tier().window_graph() {
             contract::check_window_graph(graph, self.windower.aggregates());
+        }
+        if contract::enabled() {
+            // The served verdicts equal the reference sweeps over the
+            // previous set, rebuilt from the replaced signatures.
+            let mut previous = self.det.signatures().clone();
+            for (&v, old) in step.report.dirty.iter().zip(step.report.replaced) {
+                let _ = previous.replace(v, old);
+            }
+            let (det, plan) = (&self.det, ShardPlan::new(1));
+            let want = run_algorithm1_with(dist, &previous, det.matcher(), det.config(), &plan);
+            let want_scores = anomaly_scores_from_sets(dist, &previous, det.signatures());
+            let got = (&step.detection, &step.scores);
+            contract::check_bit_equal("detector sweep", &got, &(&want, &want_scores));
         }
         self.windows += 1;
         self.last = Some(LastWindow {
@@ -168,7 +183,7 @@ impl<'a> LiveState<'a> {
             non_suspects: step.detection.non_suspects.len() as u64,
             delta: step.detection.delta,
             detected: step.detection.detected,
-            scores,
+            scores: step.scores,
         });
     }
 
@@ -181,7 +196,7 @@ impl<'a> LiveState<'a> {
     }
 
     /// The bit-identity oracle: an FNV-1a digest over the tier's durable
-    /// state, the previous signatures and the windower, then the
+    /// state, the current signatures again and the windower, then the
     /// matcher's digest and the monotone counters.
     /// Equal digests mean equal service state, byte for byte. The
     /// encoders stream straight into the hash, so no byte of the state
@@ -191,7 +206,9 @@ impl<'a> LiveState<'a> {
     pub fn state_digest(&self) -> u64 {
         let mut enc = Enc::hashing();
         self.det.tier().encode_state(&mut enc);
-        persist::encode_signature_set(&mut enc, self.det.prev_signatures());
+        // The current set again where the dropped `prev` copy (always equal
+        // to it) went, so no digest moves; ROADMAP item 2 Step A drops it.
+        persist::encode_signature_set(&mut enc, self.det.signatures());
         persist::encode_live_windower(&mut enc, &self.windower);
         self.finish_digest(enc.into_digest())
     }
@@ -203,7 +220,8 @@ impl<'a> LiveState<'a> {
     pub fn state_digest_reference(&self) -> u64 {
         let mut enc = Enc::new();
         self.det.tier().encode_state(&mut enc);
-        persist::encode_signature_set(&mut enc, self.det.prev_signatures());
+        // The frozen slot, as in `state_digest` (ROADMAP item 2 Step A).
+        persist::encode_signature_set(&mut enc, self.det.signatures());
         persist::encode_windower(&mut enc, &self.windower.export_state());
         self.finish_digest(enc.into_digest())
     }
@@ -226,9 +244,9 @@ pub enum Origin<'s, 'b> {
         /// The size of the frozen node space.
         num_nodes: usize,
     },
-    /// A snapshot body positioned just past the tier tag: tier state,
-    /// then previous signatures, as
-    /// [`encode_snapshot`](crate::snapshot::encode_snapshot) wrote them.
+    /// A snapshot body positioned just past the tier tag, at the tier
+    /// state [`encode_snapshot`](crate::snapshot::encode_snapshot)
+    /// wrote.
     Snapshot {
         /// The snapshot body.
         dec: &'s mut Dec<'b>,
@@ -278,72 +296,74 @@ pub fn build_detector<'a>(
 ) -> Result<TieredMasquerade<'a>, ServeError> {
     let cfg = detector_config(config);
     let plan = plan_of(config);
-    let (tier, prev): (Box<dyn SignatureTier + 'a>, Option<SignatureSet>) =
-        match (config.tier, origin) {
-            (
-                TierSpec::Exact,
-                Origin::Genesis {
-                    subjects,
-                    num_nodes,
-                },
-            ) => {
-                let graph = window_graph(num_nodes, &[]);
-                let pipeline = SignaturePipeline::with_plan(scheme, graph, subjects, cfg.k, plan);
-                (Box::new(pipeline), None)
+    let tier: Box<dyn SignatureTier + 'a> = match (config.tier, origin) {
+        (
+            TierSpec::Exact,
+            Origin::Genesis {
+                subjects,
+                num_nodes,
+            },
+        ) => {
+            let graph = window_graph(num_nodes, &[]);
+            let pipeline = SignaturePipeline::with_plan(scheme, graph, subjects, cfg.k, plan);
+            Box::new(pipeline)
+        }
+        (
+            TierSpec::Exact,
+            Origin::Snapshot {
+                dec,
+                num_nodes,
+                windower,
+            },
+        ) => {
+            let header = dec.u64("graph.num_nodes")?;
+            if header != num_nodes as u64 {
+                return Err(ServeError::Corrupt(format!(
+                    "snapshot graph has {header} nodes, its label space {num_nodes}"
+                )));
             }
-            (
-                TierSpec::Exact,
-                Origin::Snapshot {
-                    dec,
-                    num_nodes,
-                    windower,
-                },
-            ) => {
-                let header = dec.u64("graph.num_nodes")?;
-                if header != num_nodes as u64 {
-                    return Err(ServeError::Corrupt(format!(
-                        "snapshot graph has {header} nodes, its label space {num_nodes}"
-                    )));
-                }
-                let graph = window_graph(num_nodes, windower.aggregates());
-                let current = persist::decode_signature_set(dec)?;
-                let prev = persist::decode_signature_set(dec)?;
-                let pipeline = SignaturePipeline::resume(scheme, graph, current, cfg.k, plan)
-                    .map_err(ServeError::Corrupt)?;
-                (Box::new(pipeline), Some(prev))
+            let current = persist::decode_signature_set(dec)?;
+            let graph = window_graph(num_nodes, windower.aggregates());
+            let pipeline = SignaturePipeline::resume(scheme, graph, current, cfg.k, plan)
+                .map_err(ServeError::Corrupt)?;
+            Box::new(pipeline)
+        }
+        (
+            TierSpec::Sketch,
+            Origin::Genesis {
+                subjects,
+                num_nodes,
+            },
+        ) => {
+            let sketch = config.sketch_scheme()?;
+            let tier = SketchTier::new(sketch, config.sketch, subjects, cfg.k, num_nodes);
+            Box::new(tier)
+        }
+        (TierSpec::Sketch, Origin::Snapshot { dec, num_nodes, .. }) => {
+            let tier = SketchTier::decode_state(dec)?;
+            if tier.k() != config.k
+                || tier.stream().config() != config.sketch
+                || tier.scheme() != config.sketch_scheme()?
+            {
+                return Err(ServeError::Corrupt(
+                    "snapshot sketch state disagrees with the stamped configuration".to_owned(),
+                ));
             }
-            (
-                TierSpec::Sketch,
-                Origin::Genesis {
-                    subjects,
-                    num_nodes,
-                },
-            ) => {
-                let sketch = config.sketch_scheme()?;
-                let tier = SketchTier::new(sketch, config.sketch, subjects, cfg.k, num_nodes);
-                (Box::new(tier), None)
+            // The matcher sizes its slots by node id.
+            if let Some(u) = tier.signatures().node_outside(num_nodes) {
+                return Err(ServeError::Corrupt(format!(
+                    "snapshot signatures name node {u} outside the {num_nodes}-label space"
+                )));
             }
-            (TierSpec::Sketch, Origin::Snapshot { dec, .. }) => {
-                let tier = SketchTier::decode_state(dec)?;
-                if tier.k() != config.k
-                    || tier.stream().config() != config.sketch
-                    || tier.scheme() != config.sketch_scheme()?
-                {
-                    return Err(ServeError::Corrupt(
-                        "snapshot sketch state disagrees with the stamped configuration".to_owned(),
-                    ));
-                }
-                let prev = persist::decode_signature_set(dec)?;
-                (Box::new(tier), Some(prev))
-            }
-        };
+            Box::new(tier)
+        }
+    };
     let current = tier.signatures().clone();
-    let prev = prev.unwrap_or_else(|| current.clone());
     let matcher: Box<dyn SubjectMatcher> = match config.tier {
         TierSpec::Exact => Box::new(PostingsIndex::build_owned(current)),
         TierSpec::Sketch => Box::new(AnnIndex::build_owned(current, config.ann)),
     };
-    TieredMasquerade::from_parts(tier, matcher, cfg, plan, prev).map_err(ServeError::Corrupt)
+    TieredMasquerade::from_parts(tier, matcher, cfg, plan).map_err(ServeError::Corrupt)
 }
 
 /// The Algorithm 1 knobs carried by the service configuration.
@@ -490,7 +510,7 @@ mod tests {
         // (every band collides).
         assert_eq!(ranking.entries()[0].0, v);
         assert_eq!(ranking.entries()[0].1, 0.0);
-        let mem = live.det.tier_memory();
+        let mem = live.det.tier().memory();
         assert!(mem.state_entries > 0 && mem.state_bytes > 0);
         assert!(live.det.matcher().memory_entries() > 0);
     }

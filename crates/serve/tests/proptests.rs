@@ -12,14 +12,18 @@
 //!
 //! A fourth pins the digest itself: the streamed `state_digest` equals
 //! the buffered `state_digest_reference` at every step, on both tiers.
+//! A fifth pins the detector's one sweep per advance to the reference
+//! sweeps over a previous-window set kept by cloning.
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
 
-use comsig_core::distance::SHel;
+use comsig_apps::anomaly::anomaly_scores_from_sets;
+use comsig_apps::masquerade::run_algorithm1_with;
+use comsig_core::distance::{BatchDistance, Cosine, SHel};
 use comsig_core::scheme::TopTalkers;
-use comsig_graph::{EdgeEvent, Interner, NodeId, SlidingWindower};
+use comsig_graph::{EdgeEvent, Interner, NodeId, ShardPlan, SlidingWindower};
 
 use comsig_serve::config::TierSpec;
 use comsig_serve::snapshot::{decode_snapshot, encode_snapshot};
@@ -259,6 +263,52 @@ proptest! {
             prop_assert_eq!(live.state_digest(), live.state_digest_reference());
             let _ = live.advance_once(&SHel);
             prop_assert_eq!(live.state_digest(), live.state_digest_reference());
+        }
+    }
+
+    /// Every window's served detection and anomaly scores are bit-equal
+    /// to `run_algorithm1_with` and `anomaly_scores_from_sets` over the
+    /// previous window's set, kept here by cloning. Both tiers, with
+    /// overlapping, tumbling and gapped windows, under `SHel` and under
+    /// `Cosine`, whose `Dist(σ, σ)` is not always zero. Before window
+    /// `resume_at` the state goes through a snapshot and resumes from it.
+    #[test]
+    fn served_sweep_matches_the_reference_sweeps(
+        raw in event_stream(),
+        slide_pick in 0u64..3,
+        sketch in any::<bool>(),
+        cosine in any::<bool>(),
+        resume_at in 0usize..4,
+    ) {
+        let scheme = TopTalkers;
+        let dist: &dyn BatchDistance = if cosine { &Cosine } else { &SHel };
+        let cfg = ServeConfig {
+            tier: if sketch { TierSpec::Sketch } else { TierSpec::Exact },
+            ..config_with_slide(slide_pick)
+        };
+        let events = to_events(&raw);
+        let subjects = subject_sources(&events);
+        let mut live = LiveState::genesis(&scheme, &cfg, frozen_interner(), subjects).unwrap();
+        live.push_events(&events);
+        for w in 0..4 {
+            if w == resume_at {
+                let body = encode_snapshot(&cfg, &live, 0);
+                live = decode_snapshot(&scheme, &cfg, &body).unwrap().0;
+            }
+            let prev = live.det.signatures().clone();
+            let delta = live.windower.advance();
+            let step = live.det.advance(dist, &delta);
+            let det = &live.det;
+            let want = run_algorithm1_with(dist, &prev, det.matcher(), det.config(), &ShardPlan::new(1));
+            prop_assert_eq!(step.detection.delta.to_bits(), want.delta.to_bits());
+            prop_assert_eq!(&step.detection.non_suspects, &want.non_suspects);
+            prop_assert_eq!(&step.detection.detected, &want.detected);
+            let want = anomaly_scores_from_sets(dist, &prev, det.signatures());
+            prop_assert_eq!(step.scores.len(), want.len());
+            for (a, b) in step.scores.iter().zip(&want) {
+                prop_assert_eq!(a.node, b.node);
+                prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
+            }
         }
     }
 }

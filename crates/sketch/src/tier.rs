@@ -383,18 +383,20 @@ impl SignatureTier for SketchTier {
             .filter_map(|&v| reasons.get(&v).map(|r| (v, r.clone())))
             .collect();
         self.healing = self.degraded.iter().map(|&(v, _)| v).collect();
+        let mut replaced = Vec::with_capacity(dirty_vec.len());
         for &v in &dirty_vec {
             let sig = if reasons.contains_key(&v) {
                 Signature::empty()
             } else {
                 self.extract(v)
             };
-            self.set.replace(v, sig);
+            replaced.push(self.set.replace(v, sig));
         }
         self.windows += 1;
         AdvanceReport {
             changed_edges: delta.len(),
             dirty: dirty_vec,
+            replaced,
             total_subjects: self.set.len(),
             full_recompute: false,
         }
