@@ -227,13 +227,6 @@ impl<'a> TieredMasquerade<'a> {
         self.tier.as_ref()
     }
 
-    /// Gives up the matcher, keeping only the tier — e.g. to score
-    /// anomalies alone with [`SelfDistances`].
-    #[must_use]
-    pub fn into_tier(self) -> Box<dyn SignatureTier + 'a> {
-        self.tier
-    }
-
     /// The current window's signatures.
     #[must_use]
     pub fn signatures(&self) -> &SignatureSet {

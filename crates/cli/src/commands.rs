@@ -618,7 +618,7 @@ fn cmd_detect(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
 fn cmd_stream(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     use comsig_apps::stream::SelfDistances;
     use comsig_graph::SlidingWindower;
-    use comsig_serve::state::{build_detector, plan_of, subject_sources, Origin};
+    use comsig_serve::state::{build_detector, build_tier, plan_of, subject_sources, Origin};
 
     let (interner, events) = load_events(parsed, out)?;
     // One config pins the worker count through the tier advance, the
@@ -646,15 +646,11 @@ fn cmd_stream(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         config.width,
         config.slide
     )?;
-    let det = build_detector(
-        scheme.as_ref(),
-        &config,
-        Origin::Genesis {
-            subjects: &subjects,
-            num_nodes: interner.len(),
-        },
-    )
-    .map_err(|e| CliError::Failed(e.to_string()))?;
+    let origin = || Origin::Genesis {
+        subjects: &subjects,
+        num_nodes: interner.len(),
+    };
+    let failed = |e: comsig_serve::ServeError| CliError::Failed(e.to_string());
 
     // The per-window report lines are identical between tiers on
     // purpose: `--tier exact` output stays byte-for-byte what it was
@@ -662,7 +658,7 @@ fn cmd_stream(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let label = |v: NodeId| interner.label(v).unwrap_or("?");
     let (memory, matcher_entries, dropped) = match task {
         "anomaly" => {
-            let mut tier = det.into_tier();
+            let mut tier = build_tier(scheme.as_ref(), &config, origin()).map_err(failed)?;
             let plan = plan_of(&config);
             while windower.pending_events() > 0 {
                 let delta = windower.advance();
@@ -685,7 +681,7 @@ fn cmd_stream(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
             (tier.memory(), 0, tier.dropped_changes())
         }
         "masquerade" => {
-            let mut det = det;
+            let mut det = build_detector(scheme.as_ref(), &config, origin()).map_err(failed)?;
             while windower.pending_events() > 0 {
                 let delta = windower.advance();
                 let step = det.advance(dist.as_ref(), &delta);

@@ -36,8 +36,21 @@
 //! same path serves tumbling, overlapping and gapped windows. Overlapping
 //! windows pay for it: each event is summed once per window that holds
 //! it, `width / slide` times in all.
+//!
+//! # The pending buffer
+//!
+//! Pending events sit in a `Vec`, and a push is an append. Seqs grow with
+//! arrival, so the events of any one time stay in `seq` order, and while
+//! no event arrives earlier than the one before it the buffer is in
+//! `(time, seq)` order. An event that arrives earlier only marks the
+//! buffer unsorted; the next advance restores the order with one stable
+//! sort by time, which keeps each time's events in `seq` order.
+//! [`SlidingWindower::pending`] yields `(time, seq)` order whichever
+//! state the buffer is in, so the snapshot and the state digest see the
+//! same bytes either way. An advance drains the emitted prefix and keeps
+//! the buffer's capacity for the next window.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 
 use rustc_hash::FxHashSet;
 
@@ -144,9 +157,6 @@ impl WindowDelta {
     }
 }
 
-/// Buffered events keyed by `(time, arrival seq)`.
-type EventMap = BTreeMap<(u64, u64), (NodeId, NodeId, Weight)>;
-
 /// A buffered event as `(time, arrival seq, src, dst, weight)`.
 pub type TimedEvent = (u64, u64, NodeId, NodeId, Weight);
 
@@ -158,12 +168,6 @@ pub type Aggregate = ((NodeId, NodeId), Weight);
 /// gate: no self-loops, finite positive weights.
 fn valid_event(src: NodeId, dst: NodeId, w: Weight) -> bool {
     src != dst && w.is_finite() && w > 0.0
-}
-
-fn timed_events(events: &EventMap) -> impl ExactSizeIterator<Item = TimedEvent> + '_ {
-    events
-        .iter()
-        .map(|(&(time, seq), &(src, dst, w))| (time, seq, src, dst, w))
 }
 
 /// The changes from `old` to `new` aggregates, both strictly ascending
@@ -239,10 +243,15 @@ pub struct SlidingWindower {
     slide: u64,
     next_start: u64,
     seq: u64,
-    /// Events not yet emitted into a window.
-    pending: EventMap,
-    /// Events of the emitted window at or after `next_start`.
-    survivors: EventMap,
+    /// Events not yet emitted into a window. A push appends, so each
+    /// time's events are in `seq` order.
+    pending: Vec<TimedEvent>,
+    /// Whether `pending` is in time order, hence in `(time, seq)` order:
+    /// false once an event arrived earlier than its predecessor.
+    pending_sorted: bool,
+    /// Events of the emitted window at or after `next_start`, in
+    /// `(time, seq)` order.
+    survivors: Vec<TimedEvent>,
     /// The emitted window's aggregated weight per pair, strictly
     /// ascending by pair: the weights of its graph.
     agg: Vec<Aggregate>,
@@ -270,8 +279,9 @@ impl SlidingWindower {
             slide,
             next_start: start,
             seq: 0,
-            pending: EventMap::new(),
-            survivors: EventMap::new(),
+            pending: Vec::new(),
+            pending_sorted: true,
+            survivors: Vec::new(),
             agg: Vec::new(),
             runs: Vec::new(),
             next_agg: Vec::new(),
@@ -307,10 +317,12 @@ impl SlidingWindower {
             self.late_events += 1;
             return false;
         }
-        let key = (event.time, self.seq);
-        self.seq += 1;
+        if self.pending.last().is_some_and(|last| event.time < last.0) {
+            self.pending_sorted = false;
+        }
         self.pending
-            .insert(key, (event.src, event.dst, event.weight));
+            .push((event.time, self.seq, event.src, event.dst, event.weight));
+        self.seq += 1;
         true
     }
 
@@ -333,25 +345,29 @@ impl SlidingWindower {
             .checked_add(self.slide)
             .expect("next window start overflows the u64 time axis");
 
+        if !self.pending_sorted {
+            // Stable, so equal times keep their arrival (seq) order.
+            self.pending.sort_by_key(|&(time, ..)| time);
+            self.pending_sorted = true;
+        }
         // Events that fell in the gap between the previous window's end
         // and this window's start (only possible when slide > width).
-        let keep = self.pending.split_off(&(s, 0));
-        let gapped = std::mem::replace(&mut self.pending, keep);
-        self.gap_events += gapped.len() as u64;
+        let gap = self.pending.partition_point(|&(time, ..)| time < s);
+        self.gap_events += gap as u64;
 
         // The window: the survivors plus the pending events in [s, e).
-        let keep = self.pending.split_off(&(e, 0));
-        let mut window = std::mem::replace(&mut self.pending, keep);
-        window.append(&mut self.survivors);
+        let emitted = self.pending.partition_point(|&(time, ..)| time < e);
+        let entering = self.pending.get(gap..emitted).unwrap_or_default();
 
         // Group per pair in arrival order, and sum each group without
         // ever subtracting: exactly `GraphBuilder::add_event`'s
         // accumulation over the window's events.
         self.runs.clear();
         self.runs.extend(
-            window
+            self.survivors
                 .iter()
-                .map(|(&(_, seq), &(src, dst, w))| ((src, dst), seq, w)),
+                .chain(entering)
+                .map(|&(_, seq, src, dst, w)| ((src, dst), seq, w)),
         );
         self.runs
             .sort_unstable_by_key(|&(pair, seq, _)| (pair, seq));
@@ -364,7 +380,17 @@ impl SlidingWindower {
         let changes = diff(&self.agg, &self.next_agg);
         std::mem::swap(&mut self.agg, &mut self.next_agg);
 
-        self.survivors = window.split_off(&(next, 0));
+        // The next window still holds the events at or after `next`:
+        // older survivors first, then entering ones, each part in
+        // `(time, seq)` order; one sort merges them.
+        self.survivors.retain(|&(time, ..)| time >= next);
+        let from = entering.partition_point(|&(time, ..)| time < next);
+        if let Some(tail) = entering.get(from..) {
+            self.survivors.extend_from_slice(tail);
+        }
+        self.survivors
+            .sort_unstable_by_key(|&(time, seq, ..)| (time, seq));
+        self.pending.drain(..emitted);
         self.next_start = next;
         WindowDelta {
             start: s,
@@ -419,14 +445,23 @@ impl SlidingWindower {
         ]
     }
 
-    /// [`WindowerState::pending`], borrowed.
+    /// [`WindowerState::pending`], in `(time, seq)` order: borrowed
+    /// while the events arrived in time order, else a stably time-sorted
+    /// copy.
     pub fn pending(&self) -> impl ExactSizeIterator<Item = TimedEvent> + '_ {
-        timed_events(&self.pending)
+        let events = if self.pending_sorted {
+            Cow::Borrowed(self.pending.as_slice())
+        } else {
+            let mut sorted = self.pending.clone();
+            sorted.sort_by_key(|&(time, ..)| time);
+            Cow::Owned(sorted)
+        };
+        TimeOrdered { events, at: 0 }
     }
 
     /// [`WindowerState::survivors`], borrowed.
     pub fn survivors(&self) -> impl ExactSizeIterator<Item = TimedEvent> + '_ {
-        timed_events(&self.survivors)
+        self.survivors.iter().copied()
     }
 
     /// [`WindowerState::agg`], borrowed.
@@ -440,9 +475,9 @@ impl SlidingWindower {
     /// smallest node space that the windower's graphs fit in.
     #[must_use]
     pub fn node_bound(&self) -> usize {
-        let events = self.pending.values().chain(self.survivors.values());
+        let events = self.pending.iter().chain(&self.survivors);
         events
-            .map(|&(src, dst, _)| (src, dst))
+            .map(|&(_, _, src, dst, _)| (src, dst))
             .chain(self.agg.iter().map(|&(pair, _)| pair))
             .map(|(src, dst)| src.index().max(dst.index()) + 1)
             .max()
@@ -465,7 +500,7 @@ impl SlidingWindower {
             late_events,
             gap_events,
             pending: self.pending().collect(),
-            survivors: self.survivors().collect(),
+            survivors: self.survivors.clone(),
             agg: self.agg.clone(),
         }
     }
@@ -491,14 +526,15 @@ impl SlidingWindower {
         if state.slide == 0 {
             return Err("windower state: zero window slide".into());
         }
-        let pending = event_map(&state.pending, "pending")?;
-        let survivors = event_map(&state.survivors, "survivor")?;
+        check_events(&state.pending, "pending")?;
+        check_events(&state.survivors, "survivor")?;
         // Arrival order is only defined if every buffered event has its
         // own seq, below the one the next push takes.
-        let mut seqs: Vec<u64> = pending
-            .keys()
-            .chain(survivors.keys())
-            .map(|&(_, seq)| seq)
+        let mut seqs: Vec<u64> = state
+            .pending
+            .iter()
+            .chain(&state.survivors)
+            .map(|&(_, seq, ..)| seq)
             .collect();
         seqs.sort_unstable();
         let buffered = seqs.len();
@@ -546,8 +582,9 @@ impl SlidingWindower {
             slide: state.slide,
             next_start: state.next_start,
             seq: state.seq,
-            pending,
-            survivors,
+            pending: state.pending,
+            pending_sorted: true,
+            survivors: state.survivors,
             agg: state.agg,
             runs: Vec::new(),
             next_agg: Vec::new(),
@@ -558,10 +595,9 @@ impl SlidingWindower {
     }
 }
 
-/// Rebuilds one event map of a [`WindowerState`], checking that its keys
-/// strictly ascend and that every event passes the validity gate.
-fn event_map(events: &[TimedEvent], what: &str) -> Result<EventMap, String> {
-    let mut map = EventMap::new();
+/// Checks one event list of a [`WindowerState`]: its `(time, seq)` keys
+/// strictly ascend and every event passes the validity gate.
+fn check_events(events: &[TimedEvent], what: &str) -> Result<(), String> {
     let mut last: Option<(u64, u64)> = None;
     for &(time, seq, src, dst, w) in events {
         if last.is_some_and(|k| k >= (time, seq)) {
@@ -575,10 +611,33 @@ fn event_map(events: &[TimedEvent], what: &str) -> Result<EventMap, String> {
                 "windower state: invalid {what} event ({time}, {seq})"
             ));
         }
-        map.insert((time, seq), (src, dst, w));
     }
-    Ok(map)
+    Ok(())
 }
+
+/// [`SlidingWindower::pending`]'s iterator over events already in
+/// `(time, seq)` order, borrowed or sorted into a copy.
+struct TimeOrdered<'a> {
+    events: Cow<'a, [TimedEvent]>,
+    at: usize,
+}
+
+impl Iterator for TimeOrdered<'_> {
+    type Item = TimedEvent;
+
+    fn next(&mut self) -> Option<TimedEvent> {
+        let event = self.events.get(self.at).copied()?;
+        self.at += 1;
+        Some(event)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.events.len().saturating_sub(self.at);
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for TimeOrdered<'_> {}
 
 /// A complete, deterministic image of a [`SlidingWindower`], produced by
 /// [`SlidingWindower::export_state`] and consumed by
@@ -1088,6 +1147,55 @@ mod tests {
                 }
             }
             // Drain the buffer.
+            while w.pending_events() > 0 {
+                advance_checked(&mut w, &mut g, &accepted);
+            }
+        }
+
+        /// The arrival-order pending buffer: pushes that run backwards in
+        /// time mark it unsorted, yet after every push and advance
+        /// `pending()` (and the exported state) yields exactly the
+        /// accepted events not yet emitted, in `(time, seq)` order, with
+        /// `seq` the arrival index; and every delta still matches a cold
+        /// rebuild of its window.
+        #[test]
+        fn pending_order_survives_out_of_order_arrivals(
+            ops in op_stream(),
+            width in 1u64..12,
+            overlap in any::<bool>(),
+        ) {
+            let slide = if overlap { width.div_ceil(2) } else { width };
+            let mut w = SlidingWindower::new(0, width, slide);
+            let mut g = CommGraph::from_sorted_edges(3, Vec::new());
+            let mut accepted = Vec::new();
+            // The pending events as a `(time, seq)`-keyed map would hold
+            // them.
+            let mut model: Vec<TimedEvent> = Vec::new();
+            // Reversed, so most pushes arrive earlier than their
+            // predecessor.
+            for &op in ops.iter().rev() {
+                match op {
+                    Op::Push(e) => {
+                        if w.push(e) {
+                            let seq = accepted.len() as u64;
+                            model.push((e.time, seq, e.src, e.dst, e.weight));
+                            accepted.push(e);
+                        }
+                    }
+                    Op::Advance => {
+                        // The window takes (or the gap drops) every
+                        // pending event before its end.
+                        let end = w.next_window().unwrap().1;
+                        model.retain(|&(time, ..)| time >= end);
+                        advance_checked(&mut w, &mut g, &accepted);
+                    }
+                }
+                model.sort_by_key(|&(time, seq, ..)| (time, seq));
+                let pending: Vec<TimedEvent> = w.pending().collect();
+                prop_assert_eq!(w.pending().len(), model.len());
+                prop_assert_eq!(&pending, &model);
+                prop_assert_eq!(&w.export_state().pending, &model);
+            }
             while w.pending_events() > 0 {
                 advance_checked(&mut w, &mut g, &accepted);
             }

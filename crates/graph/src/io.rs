@@ -105,28 +105,30 @@ impl IngestReport {
     }
 }
 
-/// A structurally valid line, before weight-domain validation.
-struct RawLine<'a> {
-    time: u64,
-    src: &'a str,
-    dst: &'a str,
-    weight: f64,
+/// One record as the input spells it, its labels borrowed from the line.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Record<'a> {
+    /// Event time.
+    pub time: u64,
+    /// Source label.
+    pub src: &'a str,
+    /// Destination label.
+    pub dst: &'a str,
+    /// Edge weight (after any [`IngestPolicy::Repair`] clamp).
+    pub weight: f64,
 }
 
 /// The outcome of parsing one trimmed, non-comment line.
 enum LineOutcome<'a> {
     /// Fully valid record.
-    Good(RawLine<'a>),
+    Good(Record<'a>),
     /// Structure parsed but the weight is non-finite or negative.
     /// `extra_fields` records whether the line also had trailing junk
     /// (checked *after* the weight in `Strict`, so the weight fault wins
     /// there, but `Repair` must still reject the malformed structure).
-    BadWeight {
-        raw: RawLine<'a>,
-        extra_fields: bool,
-    },
+    BadWeight { raw: Record<'a>, extra_fields: bool },
     /// Structurally malformed; the message matches the `Strict` error.
-    Malformed(String),
+    Malformed(&'static str),
 }
 
 /// Parses one record line, reproducing the historical field-by-field
@@ -135,28 +137,26 @@ enum LineOutcome<'a> {
 fn parse_line(trimmed: &str) -> LineOutcome<'_> {
     let mut fields = trimmed.split_whitespace();
     let time: u64 = match fields.next() {
-        None => return LineOutcome::Malformed("missing time field".to_owned()),
+        None => return LineOutcome::Malformed("missing time field"),
         Some(t) => match t.parse() {
             Ok(t) => t,
-            Err(_) => {
-                return LineOutcome::Malformed("time is not a non-negative integer".to_owned())
-            }
+            Err(_) => return LineOutcome::Malformed("time is not a non-negative integer"),
         },
     };
     let Some(src) = fields.next() else {
-        return LineOutcome::Malformed("missing source".to_owned());
+        return LineOutcome::Malformed("missing source");
     };
     let Some(dst) = fields.next() else {
-        return LineOutcome::Malformed("missing destination".to_owned());
+        return LineOutcome::Malformed("missing destination");
     };
     let weight: f64 = match fields.next() {
         Some(w) => match w.parse() {
             Ok(w) => w,
-            Err(_) => return LineOutcome::Malformed("weight is not a number".to_owned()),
+            Err(_) => return LineOutcome::Malformed("weight is not a number"),
         },
         None => 1.0,
     };
-    let raw = RawLine {
+    let raw = Record {
         time,
         src,
         dst,
@@ -169,9 +169,162 @@ fn parse_line(trimmed: &str) -> LineOutcome<'_> {
         };
     }
     if fields.next().is_some() {
-        return LineOutcome::Malformed("too many fields".to_owned());
+        return LineOutcome::Malformed("too many fields");
     }
     LineOutcome::Good(raw)
+}
+
+/// The record core every reader runs on: it classifies one physical line
+/// at a time under an [`IngestPolicy`] and keeps the [`IngestReport`], so
+/// the quarantine, repair and error semantics exist once whatever the
+/// lines come from.
+///
+/// Feed every physical line in order to [`line`](Self::line), then call
+/// [`finish`](Self::finish) for the report and the quarantine budget.
+#[derive(Debug)]
+struct RecordCore {
+    policy: IngestPolicy,
+    report: IngestReport,
+}
+
+impl RecordCore {
+    /// A core at line 0 under `policy`.
+    fn new(policy: IngestPolicy) -> Self {
+        RecordCore {
+            policy,
+            report: IngestReport::default(),
+        }
+    }
+
+    /// Classifies the next physical line (a trailing line terminator is
+    /// ignored). Returns the record if it is accepted, and `None` for a
+    /// blank line, a comment or a quarantined record.
+    ///
+    /// # Errors
+    /// Under [`IngestPolicy::Strict`], the typed error of a malformed
+    /// record, naming its line.
+    fn line<'a>(&mut self, line: &'a str) -> Result<Option<Record<'a>>, GraphError> {
+        self.report.lines_read += 1;
+        let lineno = self.report.lines_read;
+        let trimmed = line.trim();
+        if trimmed.is_empty() || trimmed.starts_with('#') {
+            return Ok(None);
+        }
+        self.report.records += 1;
+        let accepted = match (parse_line(trimmed), self.policy) {
+            (LineOutcome::Good(raw), _) => raw,
+            (LineOutcome::Malformed(message), IngestPolicy::Strict) => {
+                return Err(GraphError::Parse {
+                    line: lineno,
+                    message: message.to_owned(),
+                });
+            }
+            (LineOutcome::Malformed(message), _) => {
+                self.quarantine(message.to_owned());
+                return Ok(None);
+            }
+            (LineOutcome::BadWeight { raw, .. }, IngestPolicy::Strict) => {
+                return Err(GraphError::InvalidWeight { weight: raw.weight });
+            }
+            (LineOutcome::BadWeight { raw, .. }, IngestPolicy::Quarantine { .. }) => {
+                self.quarantine(format!(
+                    "edge weight {} is not finite and non-negative",
+                    raw.weight
+                ));
+                return Ok(None);
+            }
+            (
+                LineOutcome::BadWeight {
+                    extra_fields: true, ..
+                },
+                IngestPolicy::Repair,
+            ) => {
+                self.quarantine("too many fields".to_owned());
+                return Ok(None);
+            }
+            (
+                LineOutcome::BadWeight {
+                    mut raw,
+                    extra_fields: false,
+                },
+                IngestPolicy::Repair,
+            ) => {
+                if raw.weight.is_nan() {
+                    self.quarantine("weight is NaN and cannot be repaired".to_owned());
+                    return Ok(None);
+                }
+                let clamped = raw.weight.clamp(0.0, REPAIR_WEIGHT_CAP);
+                self.report.repaired.push(Repaired {
+                    line: lineno,
+                    original: raw.weight,
+                    repaired: clamped,
+                });
+                raw.weight = clamped;
+                raw
+            }
+        };
+        self.report.events += 1;
+        Ok(Some(accepted))
+    }
+
+    /// Counts a physical line that is not valid UTF-8 as a quarantined
+    /// record (the tolerant policies' reading of an undecodable line).
+    fn invalid_utf8(&mut self) {
+        self.report.lines_read += 1;
+        self.report.records += 1;
+        self.quarantine("line is not valid UTF-8".to_owned());
+    }
+
+    fn quarantine(&mut self, reason: String) {
+        self.report.quarantined.push(Quarantined {
+            line: self.report.lines_read,
+            reason,
+        });
+    }
+
+    /// Ends the input: the report of every line fed.
+    ///
+    /// # Errors
+    /// [`GraphError::TooManyBadRecords`] when a
+    /// [`Quarantine`](IngestPolicy::Quarantine) budget is exhausted.
+    fn finish(self) -> Result<IngestReport, GraphError> {
+        let report = self.report;
+        if let IngestPolicy::Quarantine { max_bad_fraction } = self.policy {
+            if report.quarantined.len() as f64 > max_bad_fraction * report.records as f64 {
+                return Err(GraphError::TooManyBadRecords {
+                    quarantined: report.quarantined.len(),
+                    records: report.records,
+                    max_bad_fraction,
+                });
+            }
+        }
+        Ok(report)
+    }
+}
+
+/// Parses the lines of `text` under `policy`, handing each accepted
+/// record to `accept` in input order, and returns the [`IngestReport`].
+/// The labels stay borrowed from `text`, so a caller resolving them
+/// against a frozen label space copies nothing. Runs on the same record
+/// core as [`read_events_with_policy`], so the two accept the same
+/// records, report the same counts and fail with the same errors.
+///
+/// # Errors
+/// Under [`IngestPolicy::Strict`], the typed error of the first
+/// malformed record; [`GraphError::TooManyBadRecords`] when a
+/// [`Quarantine`](IngestPolicy::Quarantine) budget is exhausted.
+pub fn read_records<'a>(
+    text: &'a str,
+    policy: IngestPolicy,
+    mut accept: impl FnMut(Record<'a>),
+) -> Result<IngestReport, GraphError> {
+    let mut core = RecordCore::new(policy);
+    for line in text.lines() {
+        if let Some(record) = core.line(line)? {
+            accept(record);
+        }
+    }
+    core.finish()
 }
 
 /// Parses an event stream from `reader`, interning labels into `interner`.
@@ -196,115 +349,39 @@ pub fn read_events<R: BufRead>(
 /// every downstream id) is a function of the surviving records alone —
 /// a quarantined line can never perturb the interning order.
 pub fn read_events_with_policy<R: BufRead>(
-    reader: R,
+    mut reader: R,
     interner: &mut Interner,
     policy: IngestPolicy,
 ) -> Result<(Vec<EdgeEvent>, IngestReport), GraphError> {
+    let mut core = RecordCore::new(policy);
     let mut events = Vec::new();
-    let mut report = IngestReport::default();
-    for (lineno, line) in reader.lines().enumerate() {
-        let lineno = lineno + 1;
-        report.lines_read += 1;
-        let line = match line {
-            Ok(line) => line,
+    let mut line = String::new();
+    loop {
+        line.clear();
+        match reader.read_line(&mut line) {
+            Ok(0) => break,
+            Ok(_) => {}
             // A line that is not valid UTF-8 is a per-record fault the
             // tolerant policies can skip (the bytes up to the newline
             // are already consumed); any other I/O error is fatal.
             Err(e) if policy != IngestPolicy::Strict && e.kind() == ErrorKind::InvalidData => {
-                report.records += 1;
-                report.quarantined.push(Quarantined {
-                    line: lineno,
-                    reason: "line is not valid UTF-8".to_owned(),
-                });
+                core.invalid_utf8();
                 continue;
             }
             Err(e) => return Err(e.into()),
-        };
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
         }
-        report.records += 1;
-        let quarantine = |report: &mut IngestReport, reason: String| {
-            report.quarantined.push(Quarantined {
-                line: lineno,
-                reason,
-            });
-        };
-        let accepted: RawLine<'_> = match (parse_line(trimmed), policy) {
-            (LineOutcome::Good(raw), _) => raw,
-            (LineOutcome::Malformed(message), IngestPolicy::Strict) => {
-                return Err(GraphError::Parse {
-                    line: lineno,
-                    message,
-                });
-            }
-            (LineOutcome::Malformed(message), _) => {
-                quarantine(&mut report, message);
-                continue;
-            }
-            (LineOutcome::BadWeight { raw, .. }, IngestPolicy::Strict) => {
-                return Err(GraphError::InvalidWeight { weight: raw.weight });
-            }
-            (LineOutcome::BadWeight { raw, .. }, IngestPolicy::Quarantine { .. }) => {
-                quarantine(
-                    &mut report,
-                    format!("edge weight {} is not finite and non-negative", raw.weight),
-                );
-                continue;
-            }
-            (
-                LineOutcome::BadWeight {
-                    extra_fields: true, ..
-                },
-                IngestPolicy::Repair,
-            ) => {
-                quarantine(&mut report, "too many fields".to_owned());
-                continue;
-            }
-            (
-                LineOutcome::BadWeight {
-                    mut raw,
-                    extra_fields: false,
-                },
-                IngestPolicy::Repair,
-            ) => {
-                if raw.weight.is_nan() {
-                    quarantine(
-                        &mut report,
-                        "weight is NaN and cannot be repaired".to_owned(),
-                    );
-                    continue;
-                }
-                let clamped = raw.weight.clamp(0.0, REPAIR_WEIGHT_CAP);
-                report.repaired.push(Repaired {
-                    line: lineno,
-                    original: raw.weight,
-                    repaired: clamped,
-                });
-                raw.weight = clamped;
-                raw
-            }
-        };
-        let src = interner.intern(accepted.src);
-        let dst = interner.intern(accepted.dst);
-        events.push(EdgeEvent {
-            time: accepted.time,
-            src,
-            dst,
-            weight: accepted.weight,
-        });
-    }
-    report.events = events.len();
-    if let IngestPolicy::Quarantine { max_bad_fraction } = policy {
-        if report.quarantined.len() as f64 > max_bad_fraction * report.records as f64 {
-            return Err(GraphError::TooManyBadRecords {
-                quarantined: report.quarantined.len(),
-                records: report.records,
-                max_bad_fraction,
+        if let Some(record) = core.line(&line)? {
+            let src = interner.intern(record.src);
+            let dst = interner.intern(record.dst);
+            events.push(EdgeEvent {
+                time: record.time,
+                src,
+                dst,
+                weight: record.weight,
             });
         }
     }
+    let report = core.finish()?;
     Ok((events, report))
 }
 

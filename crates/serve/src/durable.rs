@@ -26,7 +26,6 @@
 //! never do.
 
 use std::fs;
-use std::io::{BufReader, Cursor};
 use std::path::{Path, PathBuf};
 
 use comsig_core::distance::BatchDistance;
@@ -34,13 +33,13 @@ use comsig_core::persist::{self, WalTail, WalWriter};
 use comsig_core::pipeline::DeltaScheme;
 use comsig_core::Signature;
 use comsig_eval::ranking::Ranking;
-use comsig_graph::io::read_events_with_policy;
+use comsig_graph::io::read_records;
 use comsig_graph::{EdgeEvent, Interner, NodeId};
 
 use crate::config::{ServeConfig, ServeError};
 use crate::snapshot::{decode_snapshot, encode_snapshot, snapshot_file, wal_file, SNAPSHOT_MAGIC};
 use crate::state::{LastWindow, LiveState};
-use crate::wal::{decode_record, deltas_bit_equal, encode_record, WalRecord};
+use crate::wal::{decode_record, deltas_bit_equal, encode_events, encode_record, WalRecord};
 
 /// Where a recovery started from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -288,11 +287,11 @@ impl<'a> DurableState<'a> {
         }
     }
 
-    /// Appends and fsyncs one record; a failure flips the service into
-    /// degraded (read-only) mode and surfaces as [`ServeError::Degraded`].
-    fn log_record(&mut self, record: &WalRecord) -> Result<(), ServeError> {
-        let payload = encode_record(record);
-        let result = self.wal.append(&payload).and_then(|()| self.wal.sync());
+    /// Appends and fsyncs one record payload; a failure flips the service
+    /// into degraded (read-only) mode and surfaces as
+    /// [`ServeError::Degraded`].
+    fn log_payload(&mut self, payload: &[u8]) -> Result<(), ServeError> {
+        let result = self.wal.append(payload).and_then(|()| self.wal.sync());
         if let Err(e) = result {
             let reason = format!("WAL write failed: {e}");
             self.degraded = Some(reason.clone());
@@ -307,36 +306,33 @@ impl<'a> DurableState<'a> {
     /// node space are dropped and counted, and the surviving batch is
     /// logged + fsynced before it enters the windower.
     ///
+    /// One pass over the request text: each record the policy accepts is
+    /// resolved, its labels still borrowed from `text`, against the frozen
+    /// interner, and the WAL payload is encoded from the accepted slice.
+    ///
     /// # Errors
     /// [`ServeError::Request`] when the policy rejects the whole batch
     /// (e.g. `Strict` with a malformed record, or the quarantine budget
     /// exhausted); [`ServeError::Degraded`] when the WAL is read-only.
     pub fn ingest_lines(&mut self, text: &str) -> Result<IngestOutcome, ServeError> {
         self.check_writable()?;
-        let mut scratch = Interner::new();
-        let (events, report) = read_events_with_policy(
-            BufReader::new(Cursor::new(text.as_bytes())),
-            &mut scratch,
-            self.config.ingest,
-        )
-        .map_err(|e| ServeError::Request(format!("ingest rejected: {e}")))?;
-        let mut accepted = Vec::with_capacity(events.len());
+        let interner = &self.live.interner;
+        let mut accepted = Vec::new();
         let mut unknown_label = 0u64;
-        for e in &events {
-            let src = scratch.label(e.src).and_then(|l| self.live.interner.get(l));
-            let dst = scratch.label(e.dst).and_then(|l| self.live.interner.get(l));
-            match (src, dst) {
+        let report = read_records(text, self.config.ingest, |r| {
+            match (interner.get(r.src), interner.get(r.dst)) {
                 (Some(src), Some(dst)) => accepted.push(EdgeEvent {
-                    time: e.time,
+                    time: r.time,
                     src,
                     dst,
-                    weight: e.weight,
+                    weight: r.weight,
                 }),
                 _ => unknown_label += 1,
             }
-        }
+        })
+        .map_err(|e| ServeError::Request(format!("ingest rejected: {e}")))?;
         if !accepted.is_empty() {
-            self.log_record(&WalRecord::Events(accepted.clone()))?;
+            self.log_payload(&encode_events(&accepted))?;
             self.live.push_events(&accepted);
         }
         Ok(IngestOutcome {
@@ -358,7 +354,7 @@ impl<'a> DurableState<'a> {
         self.check_writable()?;
         let delta = self.live.advance_once(self.dist);
         let digest = self.live.state_digest();
-        self.log_record(&WalRecord::Advance { delta, digest })?;
+        self.log_payload(&encode_record(&WalRecord::Advance { delta, digest }))?;
         self.windows_since_snapshot += 1;
         let mut snapshotted = false;
         if self.config.snapshot_every > 0

@@ -8,6 +8,7 @@
 //! a connection refusal, so an operator can poll `status` while a large
 //! WAL replays.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -132,6 +133,9 @@ fn serve_connection(stream: TcpStream, gate: &Mutex<Gate<'_>>, stop: &AtomicBool
     let mut reader = BufReader::new(reader_half);
     let mut writer = stream;
     let mut line = String::new();
+    // The reply body and its newline, rendered together so each reply
+    // leaves in one `write` on the unbuffered, no-delay socket.
+    let mut reply = String::new();
     while !stop.load(Ordering::SeqCst) {
         line.clear();
         match reader.read_line(&mut line) {
@@ -142,7 +146,10 @@ fn serve_connection(stream: TcpStream, gate: &Mutex<Gate<'_>>, stop: &AtomicBool
                     continue;
                 }
                 let (response, action) = handle_line(&mut lock(gate), trimmed);
-                if writeln!(writer, "{response}").is_err() {
+                reply.clear();
+                // Formatting into a `String` cannot fail.
+                let _ = writeln!(reply, "{response}");
+                if writer.write_all(reply.as_bytes()).is_err() {
                     break;
                 }
                 if action == Action::Shutdown {

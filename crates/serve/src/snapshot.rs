@@ -495,8 +495,9 @@ mod tests {
         let body = [&body[..at], &evil.into_bytes(), &body[at + good.len()..]].concat();
         expect_corrupt_body(&scheme, &config, &body, needle);
 
-        // Sketch: a tier over one node more than the label space folds a
-        // change the windower never saw.
+        // Sketch: a tier over one node more than the label space. Its
+        // size alone is corruption, even while its signatures stay in
+        // range.
         let config = sketch_config();
         let mut live = build_live(&scheme, &config);
         let bad = NodeId::new(live.interner.len());
@@ -510,6 +511,11 @@ mod tests {
             },
         )
         .unwrap();
+        assert_eq!(live.det.signatures().node_outside(bad.index()), None);
+        expect_corrupt(&scheme, &config, &live, "nodes, its label space");
+
+        // Once it folds a change the windower never saw, its signatures
+        // name the extra node too.
         let change = EdgeChange {
             src: v,
             dst: bad,

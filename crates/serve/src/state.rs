@@ -269,31 +269,26 @@ fn window_graph(num_nodes: usize, agg: &[Aggregate]) -> CommGraph {
     CommGraph::from_sorted_edges(num_nodes, edges)
 }
 
-/// Builds or decodes the configured tier, builds its matcher over the
-/// tier's signatures and assembles the detector — the one place above
-/// the tier seam that knows which tiers exist. Serve genesis, snapshot
-/// recovery and `comsig stream` all construct through it.
+/// Builds or decodes the configured tier — the one place above the tier
+/// seam that knows which tiers exist. [`build_detector`] puts a matcher
+/// over it; `comsig stream --task anomaly`, which ranks nothing, uses the
+/// tier alone.
 ///
-/// * **exact**: a [`SignaturePipeline`] and a [`PostingsIndex`].
-/// * **sketch**: a [`SketchTier`] and an [`AnnIndex`] banded by
-///   `config.ann`.
-///
-/// Both matchers are pure functions of the signatures, so genesis and
-/// resume build them the same way and a snapshot never carries them.
-///
-/// The exact tier's graph is always the windower's aggregates: none at
-/// genesis, the snapshot windower's on resume.
+/// * **exact**: a [`SignaturePipeline`], whose graph is always the
+///   windower's aggregates: none at genesis, the snapshot windower's on
+///   resume.
+/// * **sketch**: a [`SketchTier`].
 ///
 /// # Errors
 /// [`ServeError::Config`] for a non-sketchable scheme on the sketch
 /// tier; [`ServeError::Corrupt`] for snapshot state that does not decode,
 /// disagrees with the stamped sketch sizing or the label space, or whose
 /// parts are inconsistent with each other.
-pub fn build_detector<'a>(
+pub fn build_tier<'a>(
     scheme: &'a dyn DeltaScheme,
     config: &ServeConfig,
     origin: Origin<'_, '_>,
-) -> Result<TieredMasquerade<'a>, ServeError> {
+) -> Result<Box<dyn SignatureTier + 'a>, ServeError> {
     let cfg = detector_config(config);
     let plan = plan_of(config);
     let tier: Box<dyn SignatureTier + 'a> = match (config.tier, origin) {
@@ -349,21 +344,51 @@ pub fn build_detector<'a>(
                     "snapshot sketch state disagrees with the stamped configuration".to_owned(),
                 ));
             }
-            // The matcher sizes its slots by node id.
+            // The matcher sizes its slots by node id, and the tier folds
+            // changes over its own node space.
             if let Some(u) = tier.signatures().node_outside(num_nodes) {
                 return Err(ServeError::Corrupt(format!(
                     "snapshot signatures name node {u} outside the {num_nodes}-label space"
                 )));
             }
+            if tier.num_nodes() != num_nodes {
+                return Err(ServeError::Corrupt(format!(
+                    "snapshot sketch tier has {} nodes, its label space {num_nodes}",
+                    tier.num_nodes()
+                )));
+            }
             Box::new(tier)
         }
     };
+    Ok(tier)
+}
+
+/// Builds or decodes the configured tier ([`build_tier`]), builds its
+/// matcher over the tier's signatures and assembles the detector. Serve
+/// genesis, snapshot recovery and `comsig stream --task masquerade` all
+/// construct through it.
+///
+/// * **exact**: a [`PostingsIndex`].
+/// * **sketch**: an [`AnnIndex`] banded by `config.ann`.
+///
+/// Both matchers are pure functions of the signatures, so genesis and
+/// resume build them the same way and a snapshot never carries them.
+///
+/// # Errors
+/// As [`build_tier`].
+pub fn build_detector<'a>(
+    scheme: &'a dyn DeltaScheme,
+    config: &ServeConfig,
+    origin: Origin<'_, '_>,
+) -> Result<TieredMasquerade<'a>, ServeError> {
+    let tier = build_tier(scheme, config, origin)?;
     let current = tier.signatures().clone();
     let matcher: Box<dyn SubjectMatcher> = match config.tier {
         TierSpec::Exact => Box::new(PostingsIndex::build_owned(current)),
         TierSpec::Sketch => Box::new(AnnIndex::build_owned(current, config.ann)),
     };
-    TieredMasquerade::from_parts(tier, matcher, cfg, plan).map_err(ServeError::Corrupt)
+    TieredMasquerade::from_parts(tier, matcher, detector_config(config), plan_of(config))
+        .map_err(ServeError::Corrupt)
 }
 
 /// The Algorithm 1 knobs carried by the service configuration.

@@ -43,23 +43,30 @@ pub enum WalRecord {
 /// Encodes a record payload (framing is the caller's job).
 #[must_use]
 pub fn encode_record(record: &WalRecord) -> Vec<u8> {
-    let mut enc = Enc::new();
     match record {
-        WalRecord::Events(events) => {
-            enc.u8(TAG_EVENTS);
-            enc.len(events.len());
-            for e in events {
-                enc.u64(e.time);
-                enc.u32(e.src.raw());
-                enc.u32(e.dst.raw());
-                enc.f64(e.weight);
-            }
-        }
+        WalRecord::Events(events) => encode_events(events),
         WalRecord::Advance { delta, digest } => {
+            let mut enc = Enc::new();
             enc.u8(TAG_ADVANCE);
             persist::encode_delta(&mut enc, delta);
             enc.u64(*digest);
+            enc.into_bytes()
         }
+    }
+}
+
+/// The [`WalRecord::Events`] payload of `events`, encoded from the
+/// borrowed batch.
+#[must_use]
+pub fn encode_events(events: &[EdgeEvent]) -> Vec<u8> {
+    let mut enc = Enc::new();
+    enc.u8(TAG_EVENTS);
+    enc.len(events.len());
+    for e in events {
+        enc.u64(e.time);
+        enc.u32(e.src.raw());
+        enc.u32(e.dst.raw());
+        enc.f64(e.weight);
     }
     enc.into_bytes()
 }

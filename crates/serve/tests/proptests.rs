@@ -13,8 +13,12 @@
 //! A fourth pins the digest itself: the streamed `state_digest` equals
 //! the buffered `state_digest_reference` at every step, on both tiers.
 //! A fifth pins the detector's one sweep per advance to the reference
-//! sweeps over a previous-window set kept by cloning.
+//! sweeps over a previous-window set kept by cloning. A sixth pins the
+//! one-pass served ingest to the parse-then-remap reference
+//! (`served_ingest_matches_the_reference`, which honours
+//! `PROPTEST_CASES`).
 
+use std::io::Cursor;
 use std::path::PathBuf;
 
 use proptest::prelude::*;
@@ -22,14 +26,18 @@ use proptest::prelude::*;
 use comsig_apps::anomaly::anomaly_scores_from_sets;
 use comsig_apps::masquerade::run_algorithm1_with;
 use comsig_core::distance::{BatchDistance, Cosine, SHel};
+use comsig_core::persist::scan_wal;
 use comsig_core::scheme::TopTalkers;
-use comsig_graph::{EdgeEvent, Interner, NodeId, ShardPlan, SlidingWindower};
+use comsig_graph::io::{read_events_with_policy, IngestReport};
+use comsig_graph::{
+    EdgeEvent, GraphError, IngestPolicy, Interner, NodeId, ShardPlan, SlidingWindower,
+};
 
 use comsig_serve::config::TierSpec;
-use comsig_serve::snapshot::{decode_snapshot, encode_snapshot};
+use comsig_serve::snapshot::{decode_snapshot, encode_snapshot, wal_file};
 use comsig_serve::state::{subject_sources, LiveState};
 use comsig_serve::wal::{decode_record, deltas_bit_equal, encode_record, WalRecord};
-use comsig_serve::{DurableState, ServeConfig};
+use comsig_serve::{DurableState, ServeConfig, ServeError};
 
 /// Strategy: a stream of `(time, src, dst, weight)` events over 6 hosts
 /// and 4 width-10 windows, in time order.
@@ -310,5 +318,185 @@ proptest! {
                 prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
             }
         }
+    }
+}
+
+// --- served ingest vs the parse-then-remap reference ----------------------
+
+const TIMES: [&str; 5] = ["0", "3", "17", "x", "-1"];
+/// Six known labels and two outside the frozen space.
+const LABELS: [&str; 8] = ["h0", "h1", "h2", "h3", "h4", "h5", "ghost", "h6"];
+const WEIGHTS: [&str; 13] = [
+    "", "1", "2.5", "0.1", "0", "-0", "NaN", "-1.5", "inf", "-inf", "1e400", "w", "7",
+];
+/// Separators, U+00A0 among them: `split_whitespace` splits on it.
+const SEPS: [&str; 5] = [" ", "\t", "  ", "\u{a0}", " \t "];
+
+fn pick(options: &'static [&'static str]) -> impl Strategy<Value = &'static str> {
+    (0..options.len()).prop_map(move |i| options[i])
+}
+
+/// One physical line with its terminator, twice, and a draw in `0..10`
+/// that decides which the batch uses: a clean record (a valid time and
+/// weight, labels known or not), or a line from the full mix — mostly
+/// records (any separator, leading blanks, an optional or malformed
+/// weight, an optional extra field), and comments, blank lines and
+/// truncated records.
+fn ingest_line() -> impl Strategy<Value = (u8, String, String)> {
+    (
+        (0u8..10, 0u8..12),
+        (pick(&TIMES), pick(&LABELS), pick(&LABELS), pick(&WEIGHTS)),
+        (pick(&SEPS), pick(&SEPS)),
+        (any::<bool>(), any::<bool>()),
+    )
+        .prop_map(
+            |((draw, kind), (t, src, dst, w), (sep, pad), (extra, crlf))| {
+                let end = if crlf { "\r\n" } else { "\n" };
+                let clean = format!(
+                    "{pad}{}{sep}{src}{sep}{dst}{sep}{}{end}",
+                    kind % 3,
+                    0.5 + f64::from(kind)
+                );
+                let mut line = match kind {
+                    0 => format!("{pad}# {t} {src} {dst}"),
+                    1 => pad.to_owned(),
+                    2 => format!("{t}{sep}{src}"),
+                    _ => format!("{pad}{t}{sep}{src}{sep}{dst}"),
+                };
+                if kind > 2 {
+                    for field in [w, if extra { "extra" } else { "" }] {
+                        if !field.is_empty() {
+                            line.push_str(sep);
+                            line.push_str(field);
+                        }
+                    }
+                }
+                line.push_str(end);
+                (draw, clean, line)
+            },
+        )
+}
+
+/// A batch of lines (the last terminator sometimes dropped) and a policy:
+/// strict, quarantine with an empty, random or full budget, or repair.
+/// Each batch has its own noise level: the share of lines drawn from the
+/// full mix rather than clean, from none to all.
+fn ingest_case() -> impl Strategy<Value = (String, IngestPolicy)> {
+    (
+        prop::collection::vec(ingest_line(), 0..25),
+        (0u8..11, any::<bool>()),
+        0u8..5,
+        0.0f64..1.0,
+    )
+        .prop_map(|(lines, (noise, cut), pick, fraction)| {
+            let mut text: String = lines
+                .into_iter()
+                .map(|(draw, clean, line)| if draw < noise { line } else { clean })
+                .collect();
+            if cut {
+                let trimmed = text.trim_end_matches(['\r', '\n']).len();
+                text.truncate(trimmed);
+            }
+            let policy = match pick {
+                0 => IngestPolicy::Strict,
+                1 => IngestPolicy::Quarantine {
+                    max_bad_fraction: 0.0,
+                },
+                2 => IngestPolicy::Quarantine {
+                    max_bad_fraction: fraction,
+                },
+                3 => IngestPolicy::Quarantine {
+                    max_bad_fraction: 1.0,
+                },
+                _ => IngestPolicy::Repair,
+            };
+            (text, policy)
+        })
+}
+
+/// The reference ingest: parse the batch into a scratch interner, then
+/// remap each event's labels into the frozen space, counting the events
+/// with an unknown label. The error is the served error's text.
+fn reference_ingest(
+    text: &str,
+    frozen: &Interner,
+    policy: IngestPolicy,
+) -> Result<(Vec<EdgeEvent>, u64, IngestReport), (String, GraphError)> {
+    let mut scratch = Interner::new();
+    let (events, report) =
+        read_events_with_policy(Cursor::new(text.as_bytes()), &mut scratch, policy)
+            .map_err(|e| (format!("ingest rejected: {e}"), e))?;
+    let mut accepted = Vec::new();
+    let mut unknown = 0;
+    for e in events {
+        let src = scratch.label(e.src).and_then(|l| frozen.get(l));
+        let dst = scratch.label(e.dst).and_then(|l| frozen.get(l));
+        match (src, dst) {
+            (Some(src), Some(dst)) => accepted.push(EdgeEvent { src, dst, ..e }),
+            _ => unknown += 1,
+        }
+    }
+    Ok((accepted, unknown, report))
+}
+
+/// The served ingest (`DurableState::ingest_lines`, one borrowed pass
+/// against the frozen interner) accepts the reference's events, weights
+/// bitwise (as the bytes of the one `Events` record it logs), reports the
+/// same counts, and fails with the same error text, naming the line of a
+/// malformed record, under every policy.
+#[test]
+fn served_ingest_matches_the_reference() {
+    let cases = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|c| c.parse().ok())
+        .unwrap_or(proptest::NUM_CASES);
+    let mut rng = TestRng::deterministic("served_ingest_matches_the_reference");
+    let strategy = ingest_case();
+    let scheme = TopTalkers;
+    let subjects: Vec<NodeId> = (0..6).map(NodeId::new).collect();
+    for case in 0..u64::from(cases) {
+        let (text, policy) = strategy.generate(&mut rng);
+        let cfg = ServeConfig {
+            ingest: policy,
+            ..config()
+        };
+        let dir = scratch("ingest", case);
+        let (mut state, _) = DurableState::open(
+            &scheme,
+            &SHel,
+            cfg,
+            &dir,
+            frozen_interner(),
+            subjects.clone(),
+        )
+        .unwrap();
+        let got = state.ingest_lines(&text);
+        let logged = scan_wal(&wal_file(&dir, state.wal_epoch()))
+            .unwrap()
+            .records;
+        match (got, reference_ingest(&text, &frozen_interner(), policy)) {
+            (Ok(out), Ok((events, unknown, report))) => {
+                assert_eq!(out.accepted, events.len() as u64, "{text:?}");
+                assert_eq!(out.unknown_label, unknown, "{text:?}");
+                assert_eq!(out.quarantined, report.quarantined.len() as u64, "{text:?}");
+                assert_eq!(out.repaired, report.repaired.len() as u64, "{text:?}");
+                let want: Vec<Vec<u8>> = if events.is_empty() {
+                    Vec::new()
+                } else {
+                    vec![encode_record(&WalRecord::Events(events))]
+                };
+                assert_eq!(logged, want, "{text:?} under {policy:?}");
+            }
+            (Err(ServeError::Request(got)), Err((want, cause))) => {
+                assert_eq!(got, want, "{text:?} under {policy:?}");
+                if let GraphError::Parse { line, .. } = cause {
+                    assert!(got.contains(&format!("line {line}")), "{got}");
+                }
+                assert!(logged.is_empty(), "a rejected batch was logged");
+            }
+            (got, want) => panic!("{text:?} under {policy:?}: served {got:?}, reference {want:?}"),
+        }
+        drop(state);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
